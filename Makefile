@@ -5,7 +5,7 @@ GO      ?= go
 BENCHDIR ?= bench
 TOL     ?= 0.02
 
-.PHONY: ci ci-fast fmt vet build test race benchgate bench bench-all obs-smoke serve-smoke fleetobs-smoke delta-smoke fuzz-smoke snapshot profile update-baselines clean
+.PHONY: ci ci-fast fmt vet build test perfbench-check race benchgate bench bench-all obs-smoke serve-smoke fleetobs-smoke fuzz-smoke snapshot profile update-baselines clean
 
 ci:
 	./ci.sh
@@ -27,6 +27,13 @@ build:
 test:
 	$(GO) test ./...
 
+# cmd/perfbench is its own module (the root ./... never compiles it): vet
+# and test it against this tree so an API change it imports fails here,
+# not when the benchmark runs.
+perfbench-check:
+	$(GO) -C cmd/perfbench vet ./...
+	$(GO) -C cmd/perfbench test ./...
+
 race:
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/...
 
@@ -37,11 +44,11 @@ update-baselines:
 	$(GO) run ./cmd/benchgate -dir $(BENCHDIR) -tol $(TOL) -update
 
 # Kernel benchmark smoke: one iteration of the similarity-kernel micro
-# benchmarks, the end-to-end localization comparison, and the fleet-scale
-# quantized-vs-float scan. Fast enough for CI; catches "kernel path silently
-# disabled" and compile rot in the benchmarks.
+# benchmarks, end-to-end localization and corpus throughput. Fast enough
+# for CI; catches "kernel path silently disabled" and compile rot in the
+# benchmarks.
 bench:
-	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|KernelVsLegacy|CorpusThroughput|FleetScan' -benchtime 1x .
+	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput' -benchtime 1x .
 
 bench-all:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -68,26 +75,15 @@ fleetobs-smoke:
 	cmp /tmp/fleetstat-a.json /tmp/fleetstat-b.json
 	@rm -f /tmp/fleetstat-a.json /tmp/fleetstat-b.json
 
-# Incremental-rebuild smoke: compile a base snapshot, write a delta against
-# it twice with the incremental extraction path (must be byte-identical),
-# verify the delta round-trips and localizes like the direct build, and run
-# one iteration of the version-bump rebuild benchmark.
-delta-smoke:
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -o /tmp/delta-base.snap -q
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base /tmp/delta-base.snap -o /tmp/delta-a.snap -verify -q
-	$(GO) run ./cmd/snapshotc -app $(SNAPAPP) -base /tmp/delta-base.snap -o /tmp/delta-b.snap -q
-	cmp /tmp/delta-a.snap /tmp/delta-b.snap
-	@rm -f /tmp/delta-base.snap /tmp/delta-a.snap /tmp/delta-b.snap
-	$(GO) test -run '^$$' -bench DeltaRebuild -benchtime 1x ./internal/synth
-
-# Short fuzz runs over the hostile-input surfaces: the snapshot container
-# decoder, the full snapshot loader, and the delta-section decoder. All must
-# return typed errors, never panic. (The committed seed corpora live under
-# */testdata/fuzz/.)
+# Short fuzz runs over the hostile-input surfaces — the snapshot container
+# decoder, the full snapshot loader, and the event journal codec, which must
+# return typed errors, never panic — and over the prescreened scan, which
+# must yield exactly what a brute-force dot loop yields. (The committed seed
+# corpora live under */testdata/fuzz/.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotDeltaImages -fuzztime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
 
 # Compile (and verify) the snapshot of one built-in app. Override with e.g.

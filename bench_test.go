@@ -469,49 +469,6 @@ func BenchmarkParallelLocalizeReviewObserved(b *testing.B) {
 	})
 }
 
-// BenchmarkLegacyParallelLocalizeReview is the before side of the kernel
-// comparison: the same snapshot+parallel configuration forced onto the
-// retired per-struct full-cosine matcher.
-func BenchmarkLegacyParallelLocalizeReview(b *testing.B) {
-	app := k9()
-	sn := core.NewSnapshot()
-	sn.PrecomputeApp(app.App)
-	solver := core.NewWithSnapshot(sn, core.WithParallelism(0), core.WithLegacyCosine())
-	review := "It's a great app but i cannot fetch mail since the latest update"
-	when := app.App.Latest().ReleasedAt.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solver.LocalizeReview(app.App, review, when)
-	}
-}
-
-// BenchmarkSequentialKernelVsLegacy isolates the matcher itself: one
-// sequential solver per path, no worker fan-out, so the ns/op ratio is the
-// pure kernel-vs-cosine speedup on the Table 15 hot loops.
-func BenchmarkSequentialKernelVsLegacy(b *testing.B) {
-	app := k9()
-	review := "It's a great app but i cannot fetch mail since the latest update"
-	when := app.App.Latest().ReleasedAt.Add(24 * time.Hour)
-	for _, cfg := range []struct {
-		name string
-		opts []core.Option
-	}{
-		{"kernel", nil},
-		{"legacy", []core.Option{core.WithLegacyCosine()}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			solver := core.New(cfg.opts...)
-			for _, r := range app.App.Releases {
-				solver.StaticFor(r)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				solver.LocalizeReview(app.App, review, when)
-			}
-		})
-	}
-}
-
 // --- similarity kernel micro-benchmarks -------------------------------------------
 
 // BenchmarkCosineVsDot compares the per-candidate kernels: full cosine (two
@@ -564,7 +521,7 @@ func benchScanMatrix(rows int) (*wordvec.Model, *wordvec.Matrix, []wordvec.Vecto
 }
 
 // BenchmarkMatrixScan compares one query against 1024 candidates three
-// ways: the retired per-struct cosine loop, the flat DotBatch kernel, and
+// ways: a brute-force per-row Cosine loop, the flat DotBatch kernel, and
 // the prescreened threshold scan.
 func BenchmarkMatrixScan(b *testing.B) {
 	m, mat, vecs := benchScanMatrix(1024)
@@ -593,55 +550,6 @@ func BenchmarkMatrixScan(b *testing.B) {
 		n := 0
 		for i := 0; i < b.N; i++ {
 			mat.ScanThreshold(&q, threshold, 0, mat.Rows(), func(int, float64) { n++ })
-		}
-		sinkFloat = float64(n)
-	})
-}
-
-// benchFleetMatrices builds the fleet-scale candidate corpus (~100× the
-// framework catalog's row count) twice over the same flattened data: once
-// with only the float sketch and once with the quantized tier, so the two
-// scan paths read identical rows.
-func benchFleetMatrices(apps int) (*wordvec.Model, *wordvec.Matrix, *wordvec.Matrix) {
-	m := wordvec.NewModel()
-	phrases := synth.FleetPhrases(1, apps)
-	mat := wordvec.NewMatrix(len(phrases))
-	for _, p := range phrases {
-		mat.Append(m.PhraseVector(p))
-	}
-	mat.Finish()
-	proj, res := mat.Sketch()
-	qmat, err := wordvec.MatrixFromParts(mat.Data(), proj, res)
-	if err != nil {
-		panic(err)
-	}
-	if !qmat.EnsureQuant() {
-		panic("fleet matrix under the quantization gate")
-	}
-	return m, mat, qmat
-}
-
-// BenchmarkFleetScan scans one query phrase against the fleet-scale
-// candidate matrix: the float sketch prescreen versus the quantized tier
-// (inverted-file cluster bounds + integer code bounds + exact rescoring).
-// Both paths yield byte-identical matches; the ratio of their ns/op is the
-// quantized tier's speedup, recorded in bench/KERNEL_NOTES.md.
-func BenchmarkFleetScan(b *testing.B) {
-	m, mat, qmat := benchFleetMatrices(350)
-	qv := m.PhraseVector([]string{"send", "text"})
-	q := wordvec.PrepareQuery(qv)
-	threshold := m.Threshold()
-	b.Run("PrescreenScan", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			mat.ScanThreshold(&q, threshold, 0, mat.Rows(), func(int, float64) { n++ })
-		}
-		sinkFloat = float64(n)
-	})
-	b.Run("QuantScan", func(b *testing.B) {
-		n := 0
-		for i := 0; i < b.N; i++ {
-			qmat.ScanThreshold(&q, threshold, 0, qmat.Rows(), func(int, float64) { n++ })
 		}
 		sinkFloat = float64(n)
 	})

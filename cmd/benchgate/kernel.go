@@ -1,7 +1,6 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 
 	"reviewsolver/internal/core"
@@ -23,16 +22,17 @@ var kernelProbes = []string{
 }
 
 // kernelSnapshot builds the BENCH_KERNEL.json snapshot: deterministic scan
-// statistics plus a kernel-vs-legacy full-pipeline equivalence count. Unlike
-// wall-clock benchmarks these numbers are exactly reproducible, so the gate
-// catches kernel regressions without timing noise.
+// statistics plus the full-pipeline mapping count over a fixed review
+// sample. Unlike wall-clock benchmarks these numbers are exactly
+// reproducible, so the gate catches kernel regressions without timing
+// noise. (Exactness against a brute-force cosine matcher is
+// property-tested in internal/core.)
 func kernelSnapshot(seed int64) snapshotFile {
 	data := synth.GenerateSample(seed)
 	app := data.App
 	release := app.Releases[len(app.Releases)-1]
 
 	s := core.New()
-	legacy := core.New(core.WithLegacyCosine())
 	info := s.StaticFor(release)
 
 	m := map[string]float64{
@@ -52,26 +52,15 @@ func kernelSnapshot(seed int64) snapshotFile {
 		m["catalog|"+key+"|matched"] = float64(ma)
 	}
 
-	// Full-pipeline equivalence: the kernel path must reproduce the legacy
-	// cosine path exactly, so the mismatch metric is pinned at zero in the
-	// baseline and any divergence fails the gate.
 	reviews := data.Reviews
 	if len(reviews) > 10 {
 		reviews = reviews[:10]
 	}
-	mappings, mismatches := 0, 0
+	mappings := 0
 	for _, rv := range reviews {
-		got := s.LocalizeReview(app, rv.Text, rv.PublishedAt)
-		want := legacy.LocalizeReview(app, rv.Text, rv.PublishedAt)
-		mappings += len(got.Mappings)
-		if !reflect.DeepEqual(got.Mappings, want.Mappings) || !reflect.DeepEqual(got.Ranked, want.Ranked) {
-			mismatches++
-		}
+		mappings += len(s.LocalizeReview(app, rv.Text, rv.PublishedAt).Mappings)
 	}
 	m["pipeline|mappings"] = float64(mappings)
-	m["pipeline|legacy_mismatches"] = float64(mismatches)
-
-	fleetQuantMetrics(seed, m)
 
 	return snapshotFile{
 		Table:   0,
@@ -80,70 +69,4 @@ func kernelSnapshot(seed int64) snapshotFile {
 		Seed:    seed,
 		Metrics: m,
 	}
-}
-
-// fleetQuantMetrics gates the quantized scan tier on a fleet-scale candidate
-// matrix (many apps' method phrases flattened into one corpus, well past the
-// tier's row gate). For each probe it records how the tier disposed of every
-// row — whole clusters killed by the inverted-file bound, rows killed by the
-// float sketch or the integer code bound, rows rescored with an exact float
-// dot — plus two pinned invariants: the quantized yields must be
-// byte-identical to the float prescreen's (mismatches 0) and every float
-// match must be found (recall 1.0). The tier is exact by construction, so
-// any drift here is a soundness bug, not a tuning change.
-func fleetQuantMetrics(seed int64, m map[string]float64) {
-	const fleetApps = 120
-	model := wordvec.NewModel()
-	phrases := synth.FleetPhrases(seed, fleetApps)
-	mat := wordvec.NewMatrix(len(phrases))
-	for _, p := range phrases {
-		mat.Append(model.PhraseVector(p))
-	}
-	mat.Finish()
-	proj, res := mat.Sketch()
-	qmat, err := wordvec.MatrixFromParts(mat.Data(), proj, res)
-	if err != nil {
-		panic(err)
-	}
-	if !qmat.EnsureQuant() {
-		panic("fleet matrix under the quantization row gate")
-	}
-
-	type hit struct {
-		row int
-		dot float64
-	}
-	threshold := model.Threshold()
-	mismatches, floatMatched, quantMatched := 0, 0, 0
-	for _, phrase := range kernelProbes {
-		key := strings.ReplaceAll(phrase, " ", "_")
-		q := wordvec.PrepareQuery(model.PhraseVector(strings.Fields(phrase)))
-
-		var want, got []hit
-		fc := mat.ScanThresholdCount(&q, threshold, 0, mat.Rows(), func(r int, d float64) {
-			want = append(want, hit{r, d})
-		})
-		qc := qmat.ScanThresholdCount(&q, threshold, 0, qmat.Rows(), func(r int, d float64) {
-			got = append(got, hit{r, d})
-		})
-		if !reflect.DeepEqual(got, want) {
-			mismatches++
-		}
-		floatMatched += fc.Matched
-		quantMatched += qc.Matched
-
-		m["fleet|"+key+"|ivf_pruned"] = float64(qc.IVFPruned)
-		m["fleet|"+key+"|sketch_pruned"] = float64(qc.Pruned)
-		m["fleet|"+key+"|bound_pruned"] = float64(qc.BoundPruned)
-		m["fleet|"+key+"|rescored"] = float64(qc.Evaluated)
-		m["fleet|"+key+"|matched"] = float64(qc.Matched)
-	}
-	recall := 1.0
-	if floatMatched > 0 {
-		recall = float64(quantMatched) / float64(floatMatched)
-	}
-	m["fleet|rows"] = float64(qmat.Rows())
-	m["fleet|clusters"] = float64(qmat.QuantClusters())
-	m["fleet|quant_mismatches"] = float64(mismatches)
-	m["fleet|recall"] = recall
 }

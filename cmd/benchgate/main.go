@@ -64,7 +64,6 @@ func run() error {
 		snapFl = flag.Bool("snapshot", true, "also gate the snapshot image structure and load equivalence (BENCH_SNAPSHOT.json)")
 		srvFlg = flag.Bool("serve", true, "also gate the serving layer: response exactness, admission counts, failure mapping, perf pins (BENCH_SERVE.json)")
 		fleetF = flag.Bool("fleetobs", true, "also gate fleet observability: labeled metrics, journal event sequence, SLO budget arithmetic, exactly (BENCH_FLEETOBS.json)")
-		deltaF = flag.Bool("delta", true, "also gate incremental rebuilds: diff counts, row reuse, delta-vs-full mismatch pins, change-aware table metrics (BENCH_DELTA.json)")
 		update = flag.Bool("update", false, "rewrite the baselines from this run")
 	)
 	flag.Parse()
@@ -192,25 +191,6 @@ func run() error {
 		// Every fleetobs metric is a count or a budget from a
 		// byte-deterministic scenario — gate with zero tolerance.
 		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, 0, *update, "fleetobs")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *deltaF {
-		cur, err := deltaSnapshot(*seed, runner)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_DELTA.json")
-		// Diff counts, row accounting, and equivalence pins are all exact
-		// integers from a deterministic chain — gate with zero tolerance.
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, 0, *update, "delta   ")
 		if err != nil {
 			return err
 		}

@@ -47,7 +47,6 @@ func run() error {
 		appPkg    = flag.String("app", "", "package id of a built-in generated app")
 		appFile   = flag.String("appfile", "", "path to an app IR JSON file")
 		snapPath  = flag.String("snapshot", "", "serve from a .snap snapshot compiled by snapshotc (replaces -app/-appfile)")
-		snapBase  = flag.String("snapshot-base", "", "base .snap image when -snapshot is a delta compiled with snapshotc -base")
 		review    = flag.String("review", "", "review text to localize")
 		list      = flag.Bool("list", false, "list the built-in generated apps")
 		seed      = flag.Int64("seed", 1, "generator seed for built-in apps")
@@ -98,11 +97,7 @@ func run() error {
 		err error
 	)
 	if *snapPath != "" {
-		if *snapBase != "" {
-			sn, app, err = core.LoadSnapshotDelta(*snapPath, *snapBase, core.WithClassifier(vec, clf))
-		} else {
-			sn, app, err = core.LoadSnapshot(*snapPath, core.WithClassifier(vec, clf))
-		}
+		sn, app, err = core.LoadSnapshot(*snapPath, core.WithClassifier(vec, clf))
 		if err != nil {
 			return fmt.Errorf("load snapshot: %w", err)
 		}

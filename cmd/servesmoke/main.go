@@ -359,7 +359,6 @@ func run() error {
 		fmt.Sprintf(`counter registry_events_total{app=%q,type="register"} 1`, appB.Info.Package),
 		// Registry byte-budget gauges.
 		"gauge serve_registry_budget_bytes 0",
-		"gauge serve_registry_quant_bytes",
 	} {
 		if !strings.Contains(string(metrics), line) {
 			return fmt.Errorf("metrics exposition missing %q:\n%s", line, metrics)

@@ -11,14 +11,6 @@
 //	snapshotc -app com.fsck.k9 -o k9.snap
 //	snapshotc -appfile app.json -o app.snap
 //	snapshotc -app com.fsck.k9 -o k9.snap -verify
-//	snapshotc -app com.fsck.k9 -base old.snap -o k9.delta.snap
-//
-// -base switches to the release-cadence path: the app is extracted
-// incrementally against each release's predecessor (core.PrecomputeDelta)
-// and written as a delta image against the given base snapshot — only the
-// embedding rows the base cannot supply are stored, and the result loads
-// with core.LoadSnapshotDelta. Delta output is exactly as deterministic as
-// the full format.
 //
 // -verify re-opens the written file, checks that re-encoding the loaded
 // snapshot reproduces the file byte for byte, and cross-checks localization
@@ -53,7 +45,6 @@ func run() error {
 		appFile = flag.String("appfile", "", "path to an app IR JSON file")
 		seed    = flag.Int64("seed", 1, "generator seed for built-in apps")
 		out     = flag.String("o", "", "output .snap path (required)")
-		base    = flag.String("base", "", "base .snap image: extract incrementally and write a delta against it")
 		verify  = flag.Bool("verify", false, "after writing, round-trip the file and cross-check localization output")
 		list    = flag.Bool("list", false, "list the built-in generated apps")
 		quiet   = flag.Bool("q", false, "suppress the summary line")
@@ -77,20 +68,7 @@ func run() error {
 
 	started := time.Now()
 	sn := core.NewSnapshot()
-	var img, baseImg []byte
-	if *base != "" {
-		if baseImg, err = os.ReadFile(*base); err != nil {
-			return err
-		}
-		// Extract incrementally — each release patched from its predecessor —
-		// then store only what the base image cannot supply. Both halves are
-		// property-tested byte-identical to the full path, so -base changes
-		// cost, not output.
-		sn.PrecomputeDelta(app)
-		img, err = core.EncodeSnapshotDelta(sn, app, baseImg)
-	} else {
-		img, err = core.EncodeSnapshot(sn, app)
-	}
+	img, err := core.EncodeSnapshot(sn, app)
 	if err != nil {
 		return fmt.Errorf("encode snapshot: %w", err)
 	}
@@ -98,42 +76,24 @@ func run() error {
 		return err
 	}
 	if !*quiet {
-		kind := "full"
-		if *base != "" {
-			kind = "delta"
-		}
-		fmt.Fprintf(os.Stderr, "snapshotc: %s → %s (%s, %d bytes, %d releases) in %s\n",
-			app.Package, *out, kind, len(img), len(app.Releases), time.Since(started).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "snapshotc: %s → %s (%d bytes, %d releases) in %s\n",
+			app.Package, *out, len(img), len(app.Releases), time.Since(started).Round(time.Millisecond))
 	}
 	if !*verify {
 		return nil
 	}
-	return verifyRoundTrip(*out, img, baseImg, sn, app, data)
+	return verifyRoundTrip(*out, img, sn, app, data)
 }
 
 // verifyRoundTrip proves the written file is a faithful snapshot: loading it
 // and re-encoding must reproduce the bytes exactly, and localization served
 // from the loaded snapshot must match the in-memory build review for review.
-func verifyRoundTrip(path string, img, baseImg []byte, sn *core.Snapshot, app *apk.App, data *synth.AppData) error {
-	var (
-		loaded *core.Snapshot
-		lapp   *apk.App
-		err    error
-	)
-	if baseImg != nil {
-		loaded, lapp, err = core.LoadSnapshotDeltaImages(img, baseImg)
-	} else {
-		loaded, lapp, err = core.LoadSnapshot(path)
-	}
+func verifyRoundTrip(path string, img []byte, sn *core.Snapshot, app *apk.App, data *synth.AppData) error {
+	loaded, lapp, err := core.LoadSnapshot(path)
 	if err != nil {
 		return fmt.Errorf("verify: load: %w", err)
 	}
-	var reImg []byte
-	if baseImg != nil {
-		reImg, err = core.EncodeSnapshotDelta(loaded, lapp, baseImg)
-	} else {
-		reImg, err = core.EncodeSnapshot(loaded, lapp)
-	}
+	reImg, err := core.EncodeSnapshot(loaded, lapp)
 	if err != nil {
 		return fmt.Errorf("verify: re-encode: %w", err)
 	}

@@ -158,11 +158,11 @@ func (g *Graph) Methods() []*apk.Method {
 }
 
 // AdoptMethodOrder installs a pre-sorted method list as the Methods()
-// memo, skipping the O(n log n) sort — incremental rebuilds produce the
-// order by merging the previous release's sorted list with the few changed
-// methods. The list is validated cheaply (length and strict qualified-name
-// order); it must contain exactly the graph's methods. Returns false (and
-// adopts nothing) when validation fails or Methods() already materialized.
+// memo, skipping the O(n log n) sort — for callers that already hold the
+// order, such as a persisted one. The list is validated cheaply (length and
+// strict qualified-name order); it must contain exactly the graph's
+// methods. Returns false (and adopts nothing) when validation fails or
+// Methods() already materialized.
 func (g *Graph) AdoptMethodOrder(ms []*apk.Method) bool {
 	if len(ms) != len(g.methods) {
 		return false
@@ -179,12 +179,6 @@ func (g *Graph) AdoptMethodOrder(ms []*apk.Method) bool {
 	})
 	return adopted
 }
-
-// QualifiedLess reports whether a orders before b by qualified method name
-// — the comparator behind Methods(). Exported so incremental rebuilds can
-// merge a kept sorted run with freshly sorted methods into an
-// AdoptMethodOrder-ready list.
-func QualifiedLess(a, b *apk.Method) bool { return qualifiedLess(a, b) }
 
 // qualifiedLess orders methods exactly as comparing their QualifiedName
 // strings would, without building them. The slow byte-walk only runs when
@@ -247,29 +241,6 @@ func (g *Graph) CallSitesOf(class, method string) []Site {
 		}
 		return out[i].StmtIdx < out[j].StmtIdx
 	})
-	return out
-}
-
-// ClassesInvoking returns the distinct app classes with at least one
-// invocation site targeting any method of the given callee class, sorted.
-// Incremental rebuilds use it to find the classes whose framework-call
-// classification can flip when a class name appears in or vanishes from the
-// app class set.
-func (g *Graph) ClassesInvoking(calleeClass string) []string {
-	set := make(map[string]struct{})
-	for k, sites := range g.callSites {
-		if k.class != calleeClass {
-			continue
-		}
-		for _, s := range sites {
-			set[s.Class()] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -377,22 +348,6 @@ func (g *Graph) IntentSends() []IntentSend {
 	return out
 }
 
-// IntentSendsIn is IntentSends restricted to sites inside the given
-// classes — the incremental-rebuild path scans only the classes a release
-// diff touched. Site discovery walks the classes' statements directly, so
-// the per-site results (taint strings included) match what IntentSends
-// produces for those classes; only the site order differs, which the
-// aggregating caller sorts away.
-func (g *Graph) IntentSendsIn(classes []string) []IntentSend {
-	var out []IntentSend
-	g.sitesIn(classes, intentSendAPIs, func(site Site) {
-		if actions := g.BackwardStrings(site); len(actions) > 0 {
-			out = append(out, IntentSend{Actions: actions, Site: site})
-		}
-	})
-	return out
-}
-
 // ContentQuery records a content-provider access with its URI string(s).
 type ContentQuery struct {
 	URIs []string
@@ -415,28 +370,6 @@ func (g *Graph) ContentQueries() []ContentQuery {
 			out = append(out, ContentQuery{URIs: uris, Site: site})
 		}
 	}
-	return out
-}
-
-// contentResolverAPIs is contentResolverMethods in the class/method pair
-// shape the restricted site walk consumes.
-var contentResolverAPIs = func() []struct{ class, method string } {
-	out := make([]struct{ class, method string }, len(contentResolverMethods))
-	for i, m := range contentResolverMethods {
-		out[i] = struct{ class, method string }{"android.content.ContentResolver", m}
-	}
-	return out
-}()
-
-// ContentQueriesIn is ContentQueries restricted to sites inside the given
-// classes (see IntentSendsIn for the contract).
-func (g *Graph) ContentQueriesIn(classes []string) []ContentQuery {
-	var out []ContentQuery
-	g.sitesIn(classes, contentResolverAPIs, func(site Site) {
-		if uris := g.BackwardStrings(site); len(uris) > 0 {
-			out = append(out, ContentQuery{URIs: uris, Site: site})
-		}
-	})
 	return out
 }
 
@@ -471,45 +404,6 @@ func (g *Graph) ErrorMessages() []MessageSite {
 		}
 	}
 	return out
-}
-
-// ErrorMessagesIn is ErrorMessages restricted to sites inside the given
-// classes (see IntentSendsIn for the contract).
-func (g *Graph) ErrorMessagesIn(classes []string) []MessageSite {
-	var out []MessageSite
-	g.sitesIn(classes, errorMessageAPIs, func(site Site) {
-		if texts := g.BackwardStrings(site); len(texts) > 0 {
-			out = append(out, MessageSite{Texts: texts, Site: site})
-		}
-	})
-	return out
-}
-
-// sitesIn walks the statements of the given classes (by name, in the given
-// order) and yields every invocation site targeting one of the APIs. It
-// visits every declared method — including shadowed duplicates — exactly
-// like the callSites index the unrestricted queries read.
-func (g *Graph) sitesIn(classes []string, apis []struct{ class, method string }, yield func(Site)) {
-	for _, cn := range classes {
-		c, ok := g.release.FindClass(cn)
-		if !ok {
-			continue
-		}
-		for _, m := range c.Methods {
-			for i := range m.Statements {
-				st := &m.Statements[i]
-				if st.Op != apk.OpInvoke {
-					continue
-				}
-				for _, api := range apis {
-					if st.InvokeClass == api.class && st.InvokeMethod == api.method {
-						yield(Site{Method: m, StmtIdx: i})
-						break
-					}
-				}
-			}
-		}
-	}
 }
 
 // ExceptionSite records a throw or catch of an exception type.
@@ -548,37 +442,6 @@ func (g *Graph) FrameworkCalls() []Site {
 	}
 	var out []Site
 	for _, c := range g.release.Classes {
-		for _, m := range c.Methods {
-			for i := range m.Statements {
-				st := &m.Statements[i]
-				if st.Op != apk.OpInvoke {
-					continue
-				}
-				if _, isApp := appClasses[st.InvokeClass]; isApp {
-					continue
-				}
-				out = append(out, Site{Method: m, StmtIdx: i})
-			}
-		}
-	}
-	return out
-}
-
-// FrameworkCallsIn is FrameworkCalls restricted to sites inside the given
-// classes. The app/framework classification still uses the full class set
-// of this graph's release, so the per-site decisions match FrameworkCalls
-// exactly; only the covered classes differ.
-func (g *Graph) FrameworkCallsIn(classes []string) []Site {
-	appClasses := make(map[string]struct{}, len(g.release.Classes))
-	for _, c := range g.release.Classes {
-		appClasses[c.Name] = struct{}{}
-	}
-	var out []Site
-	for _, cn := range classes {
-		c, ok := g.release.FindClass(cn)
-		if !ok {
-			continue
-		}
 		for _, m := range c.Methods {
 			for i := range m.Statements {
 				st := &m.Statements[i]

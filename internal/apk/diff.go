@@ -5,9 +5,8 @@ import (
 	"sort"
 )
 
-// This file implements the structural release differ behind incremental
-// snapshot rebuilds (core.ApplyDelta) and change-aware ranking
-// (core.WithChangeAwareRank). Entities are keyed by stable identity —
+// This file implements the structural release differ behind change-aware
+// ranking (core.WithChangeAwareRank). Entities are keyed by stable identity —
 // classes and layouts by name, methods by name within their class,
 // activities by declared class name — and compared by content fingerprint,
 // so the added/removed/changed sets are deterministic for a given pair of
@@ -73,15 +72,14 @@ func (d *ReleaseDelta) Identical() bool {
 }
 
 // ClassTouched reports whether the named class was added or changed in
-// Next — i.e. its derived artifacts must be recomputed.
+// Next.
 func (d *ReleaseDelta) ClassTouched(name string) bool {
 	_, ok := d.touched[name]
 	return ok
 }
 
 // TouchedClasses returns the sorted union of added and changed classes —
-// the classes a change-aware ranker boosts and an incremental rebuild
-// recomputes.
+// the classes a change-aware ranker boosts.
 func (d *ReleaseDelta) TouchedClasses() []string {
 	out := make([]string, 0, len(d.touched))
 	for name := range d.touched {

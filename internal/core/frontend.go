@@ -165,14 +165,12 @@ type sentenceEntry struct {
 // depends only on the global anchor basis, not on per-model state, so the
 // queries are cacheable alongside the vectors.
 type phrasePrep struct {
-	text       string
-	words      []string
-	vec        wordvec.Vector
-	q          wordvec.Query
-	hasObj     bool
-	objVec     wordvec.Vector
-	contentVec wordvec.Vector
-	contentQ   wordvec.Query
+	text     string
+	words    []string
+	q        wordvec.Query // the phrase vector, prepared for scans
+	hasObj   bool
+	objVec   wordvec.Vector
+	contentQ wordvec.Query // the content-word vector, prepared for scans
 }
 
 // analysisScratch holds the per-review dedup sets AnalyzeReview reuses
@@ -283,15 +281,13 @@ func (fe *frontend) prep(s *Solver, key string, vp phrase.VerbPhrase) *phrasePre
 	p := &phrasePrep{
 		text:  key,
 		words: words,
-		vec:   fe.phraseVector(s, words),
+		q:     wordvec.PrepareQuery(fe.phraseVector(s, words)),
 	}
-	p.q = wordvec.PrepareQuery(p.vec)
 	if len(vp.Object) > 0 {
 		p.hasObj = true
 		p.objVec = fe.phraseVector(s, vp.Object)
 	}
-	p.contentVec = fe.phraseVector(s, contentOnly(words))
-	p.contentQ = wordvec.PrepareQuery(p.contentVec)
+	p.contentQ = wordvec.PrepareQuery(fe.phraseVector(s, contentOnly(words)))
 	p, created := fe.preps.put(key, p)
 	if created {
 		s.rec.Counter(metricPhraseCacheMisses).Add(1)

@@ -9,29 +9,27 @@ import (
 )
 
 // TestKernelRankingMatchesLegacy is the property test of the kernel layer:
-// across seeded synthetic corpora, the full-pipeline output of the default
-// matrix-kernel matcher (flattened dot scans + anchor prescreen) must be
-// byte-identical to the retired per-struct full-cosine path.
+// across seeded synthetic corpora, the full-pipeline output of the matrix
+// kernel (flattened dot scans + anchor prescreen) must be byte-identical to
+// the brute-force full-cosine oracle (oracle_test.go). Every review of each
+// corpus runs: only a few dozen of them land scan matches near the 0.68
+// threshold, where a kernel fault would show.
 func TestKernelRankingMatchesLegacy(t *testing.T) {
 	for _, seed := range []int64{3, 7, 21} {
 		data := synth.GenerateSample(seed)
 		app := data.App
 
 		kernel := New()
-		legacy := New(WithLegacyCosine())
+		oracle := cosineOracle{New()}
 
-		reviews := data.Reviews
-		if len(reviews) > 25 {
-			reviews = reviews[:25]
-		}
-		for i, rv := range reviews {
-			want := legacy.LocalizeReview(app, rv.Text, rv.PublishedAt)
+		for i, rv := range data.Reviews {
+			want := oracle.LocalizeReview(app, rv.Text, rv.PublishedAt)
 			got := kernel.LocalizeReview(app, rv.Text, rv.PublishedAt)
 			if !reflect.DeepEqual(got.Mappings, want.Mappings) {
-				t.Fatalf("seed %d review %d: kernel mappings differ from legacy cosine", seed, i)
+				t.Fatalf("seed %d review %d: kernel mappings differ from the cosine oracle", seed, i)
 			}
 			if !reflect.DeepEqual(got.Ranked, want.Ranked) {
-				t.Fatalf("seed %d review %d: kernel ranking differs from legacy cosine", seed, i)
+				t.Fatalf("seed %d review %d: kernel ranking differs from the cosine oracle", seed, i)
 			}
 		}
 	}
@@ -39,27 +37,23 @@ func TestKernelRankingMatchesLegacy(t *testing.T) {
 
 // TestKernelSnapshotParallelMatchesLegacy stacks every layer at once: a
 // snapshot-backed solver with inner parallelism and the kernel matcher must
-// reproduce the plain sequential legacy-cosine solver byte for byte.
+// reproduce the sequential brute-force cosine oracle byte for byte.
 func TestKernelSnapshotParallelMatchesLegacy(t *testing.T) {
 	data := synth.GenerateSample(5)
 	app := data.App
 
-	legacy := New(WithLegacyCosine())
+	oracle := cosineOracle{New()}
 	sn := NewSnapshot()
 	kernel := NewWithSnapshot(sn, WithParallelism(4))
 
-	reviews := data.Reviews
-	if len(reviews) > 20 {
-		reviews = reviews[:20]
-	}
-	for i, rv := range reviews {
-		want := legacy.LocalizeReview(app, rv.Text, rv.PublishedAt)
+	for i, rv := range data.Reviews {
+		want := oracle.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		got := kernel.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		if !reflect.DeepEqual(got.Mappings, want.Mappings) {
-			t.Fatalf("review %d: snapshot+parallel kernel mappings differ from legacy", i)
+			t.Fatalf("review %d: snapshot+parallel kernel mappings differ from the cosine oracle", i)
 		}
 		if !reflect.DeepEqual(got.Ranked, want.Ranked) {
-			t.Fatalf("review %d: snapshot+parallel kernel ranking differs from legacy", i)
+			t.Fatalf("review %d: snapshot+parallel kernel ranking differs from the cosine oracle", i)
 		}
 	}
 }
@@ -71,24 +65,20 @@ func TestKernelPerContextMatchesLegacy(t *testing.T) {
 	app := data.App
 
 	kernel := New()
-	legacy := New(WithLegacyCosine())
+	oracle := cosineOracle{New()}
 
 	release := app.Releases[len(app.Releases)-1]
 	prev := app.Releases[len(app.Releases)-2]
 	kInfo := kernel.StaticFor(release)
-	lInfo := legacy.StaticFor(release)
+	oInfo := oracle.s.StaticFor(release)
 
-	reviews := data.Reviews
-	if len(reviews) > 15 {
-		reviews = reviews[:15]
-	}
-	for i, rv := range reviews {
+	for i, rv := range data.Reviews {
 		ra := kernel.AnalyzeReview(rv.Text)
 		for _, ctx := range ctxinfo.All() {
-			want := legacy.LocalizeByContext(ctx, ra, lInfo, prev, release)
+			want := oracle.LocalizeByContext(ctx, ra, oInfo, prev, release)
 			got := kernel.LocalizeByContext(ctx, ra, kInfo, prev, release)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("review %d context %s: kernel mappings differ from legacy", i, ctx)
+				t.Fatalf("review %d context %s: kernel mappings differ from the cosine oracle", i, ctx)
 			}
 		}
 	}

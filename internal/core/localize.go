@@ -112,26 +112,22 @@ func dedupMappings(ms []Mapping) []Mapping {
 // --- §4.1.1 App specific task -------------------------------------------------
 
 // localizeAppSpecific compares each review verb phrase against the verb
-// phrases derived from method names and Code2vec summaries. The candidate
-// loop is chunked across workers (WithParallelism); chunk results merge in
-// candidate order, so output order matches the sequential pass exactly. The
-// default matcher scans the flattened method-phrase matrix with the
-// dot-only kernel and anchor prescreen; WithLegacyCosine restores the
-// per-struct full-cosine pass (byte-identical output, property-tested).
+// phrases derived from method names and Code2vec summaries, scanning the
+// flattened method-phrase matrix with the dot-only kernel and anchor
+// prescreen. The candidate loop is chunked across workers
+// (WithParallelism); chunk results merge in candidate order, so output
+// order matches the sequential pass exactly.
 func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
-	useKernel := !s.legacyCosine && info.methodMatrix != nil
 	threshold := s.vec.Threshold()
 	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
-		v := prep.vec
 		phraseText := prep.text
-		q := &prep.q
 		res := parallelChunks(len(info.MethodPhrases), s.parallelism,
 			func(start, end int) scanChunk {
 				var ck scanChunk
-				emit := func(i int, sim float64) {
+				ck.scan = info.methodMatrix.ScanThresholdCount(&prep.q, threshold, start, end, func(i int, sim float64) {
 					mp := &info.MethodPhrases[i]
 					source, evidence := "method name", "method name "+mp.Method.Name
 					if mp.FromSummary {
@@ -153,21 +149,7 @@ func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *o
 							Similarity: sim,
 						})
 					}
-				}
-				if useKernel {
-					ck.scan = info.methodMatrix.ScanThresholdCount(q, threshold, start, end,
-						func(row int, dot float64) { emit(row, dot) })
-					return ck
-				}
-				for i := start; i < end; i++ {
-					ck.scan.Evaluated++
-					c := wordvec.Cosine(v, info.MethodPhrases[i].Vec)
-					if c < threshold {
-						continue
-					}
-					ck.scan.Matched++
-					emit(i, c)
-				}
+				})
 				return ck
 			})
 		out = append(out, res.maps...)
@@ -199,26 +181,33 @@ var issueNouns = map[string]struct{}{
 // localizeGUI maps GUI-related noun phrases and vague-error patterns to the
 // activities whose visible/invisible labels mention them.
 func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	simHist := s.simHist()
-
-	addActivity := func(phraseText, activity, evidence string) {
-		out = append(out, Mapping{
-			Phrase:   phraseText,
-			Class:    activity,
-			Context:  ctxinfo.GUI,
-			Evidence: evidence,
-		})
-		simHist.Observe(1)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: phraseText, Class: activity,
-				Stage: stageGUI, Source: "visible label", Evidence: evidence,
-				Similarity: 1,
-			})
-		}
+	out := s.guiNounPhrases(ra, info, tr)
+	// Verb phrases against invisible widget-id phrases ("show password").
+	for vi := range ra.VerbPhrases {
+		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
+		out = append(out, s.matchInvisible(prep, info, tr)...)
 	}
+	return append(out, s.guiPatterns(ra, info, tr)...)
+}
 
+// visibleLabelMatch records one activity whose visible labels contain a
+// searched word.
+func (s *Solver) visibleLabelMatch(tr *obs.ReviewTrace, phraseText, activity, evidence string) Mapping {
+	s.simHist().Observe(1)
+	if tr != nil {
+		tr.AddMatch(obs.MatchTrace{
+			Phrase: phraseText, Class: activity,
+			Stage: stageGUI, Source: "visible label", Evidence: evidence,
+			Similarity: 1,
+		})
+	}
+	return Mapping{Phrase: phraseText, Class: activity, Context: ctxinfo.GUI, Evidence: evidence}
+}
+
+// guiNounPhrases handles the noun-phrase cases of §4.1.2: explicit widget
+// mentions and implicit issue mentions.
+func (s *Solver) guiNounPhrases(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
+	var out []Mapping
 	for ni := range ra.NounPhrases {
 		np := &ra.NounPhrases[ni]
 		// Case (1): explicit widget mention — the modifier words name the
@@ -229,7 +218,7 @@ func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Revie
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					addActivity(ra.npKey(ni), activity, "visible label contains "+mod)
+					out = append(out, s.visibleLabelMatch(tr, ra.npKey(ni), activity, "visible label contains "+mod))
 				}
 				out = append(out, s.matchInvisibleWord(ra.npKey(ni), mod, info, tr)...)
 			}
@@ -242,28 +231,26 @@ func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Revie
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					addActivity(ra.npKey(ni), activity, "visible label contains "+mod)
+					out = append(out, s.visibleLabelMatch(tr, ra.npKey(ni), activity, "visible label contains "+mod))
 				}
 			}
 		}
 	}
+	return out
+}
 
-	// Verb phrases against invisible widget-id phrases ("show password").
-	for vi := range ra.VerbPhrases {
-		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
-		out = append(out, s.matchInvisible(prep, info, tr)...)
-	}
-
-	// Vague-error patterns (Table 5): look the function words up in the
-	// visible labels.
+// guiPatterns looks the function words of vague-error patterns (Table 5)
+// up in the visible labels.
+func (s *Solver) guiPatterns(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
+	var out []Mapping
 	for _, pm := range ra.Patterns {
 		for _, fn := range pm.Function {
 			if textproc.IsStopword(fn) {
 				continue
 			}
 			for _, activity := range gui.FindByVisibleWord(info.GUIs, fn) {
-				addActivity(strings.Join(pm.Function, " "), activity,
-					pm.Pattern.String()+" function word "+fn)
+				out = append(out, s.visibleLabelMatch(tr, strings.Join(pm.Function, " "), activity,
+					pm.Pattern.String()+" function word "+fn))
 			}
 		}
 	}
@@ -271,70 +258,35 @@ func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Revie
 }
 
 // matchInvisible compares a review phrase against the expanded widget-id
-// phrases of each activity. The default matcher scans the flattened
-// widget-id matrix (rows in the same nested GUI×widget order the legacy
-// loop visits, so output order is identical); WithLegacyCosine restores the
-// per-struct cosine pass over the label vectors precomputed at extraction
-// time. The content-word vector and its prescreen query come precomputed on
-// the cached phrase prep.
+// phrases of each activity by scanning the flattened widget-id matrix (rows
+// in nested GUI×widget order). The content-word vector's prescreen query
+// comes precomputed on the cached phrase prep.
 func (s *Solver) matchInvisible(prep *phrasePrep, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	phraseText := prep.text
-	v := prep.contentVec
 	simHist := s.simHist()
-	emit := func(gi, wi int, sim float64) {
-		g := &info.GUIs[gi]
-		evidence := "widget id " + g.WidgetIDs[wi]
-		out = append(out, Mapping{
-			Phrase:   phraseText,
-			Class:    g.Activity,
-			Context:  ctxinfo.GUI,
-			Evidence: evidence,
+	sc := info.invisibleMatrix.ScanThresholdCount(&prep.contentQ, s.vec.Threshold(), 0, info.invisibleMatrix.Rows(),
+		func(row int, sim float64) {
+			ref := info.invisibleRows[row]
+			g := &info.GUIs[ref.GUI]
+			evidence := "widget id " + g.WidgetIDs[ref.Widget]
+			out = append(out, Mapping{
+				Phrase:   phraseText,
+				Class:    g.Activity,
+				Context:  ctxinfo.GUI,
+				Evidence: evidence,
+			})
+			simHist.Observe(sim)
+			if tr != nil {
+				tr.AddMatch(obs.MatchTrace{
+					Phrase: phraseText, Class: g.Activity,
+					Stage: stageGUI, Source: "widget id", Evidence: evidence,
+					Similarity: sim,
+				})
+			}
 		})
-		simHist.Observe(sim)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: phraseText, Class: g.Activity,
-				Stage: stageGUI, Source: "widget id", Evidence: evidence,
-				Similarity: sim,
-			})
-		}
-	}
-	var sc wordvec.ScanCount
-	if !s.legacyCosine && info.invisibleMatrix != nil {
-		sc = info.invisibleMatrix.ScanThresholdCount(&prep.contentQ, s.vec.Threshold(), 0, info.invisibleMatrix.Rows(),
-			func(row int, dot float64) {
-				ref := info.invisibleRows[row]
-				emit(int(ref.GUI), int(ref.Widget), dot)
-			})
-		if s.rec != nil || tr != nil {
-			s.noteScan(tr, stageGUI, "widget_ids", phraseText, info.invisibleMatrix.Rows(), sc)
-		}
-		return out
-	}
-	for gi := range info.GUIs {
-		g := &info.GUIs[gi]
-		for wi, idWords := range g.InvisibleWords {
-			if len(idWords) == 0 {
-				continue
-			}
-			var idVec wordvec.Vector
-			if info.invisibleVecs != nil {
-				idVec = info.invisibleVecs[gi][wi]
-			} else {
-				idVec = s.vec.PhraseVector(idWords)
-			}
-			sc.Evaluated++
-			c := wordvec.Cosine(v, idVec)
-			if c < s.vec.Threshold() {
-				continue
-			}
-			sc.Matched++
-			emit(gi, wi, c)
-		}
-	}
 	if s.rec != nil || tr != nil {
-		s.noteScan(tr, stageGUI, "widget_ids", phraseText, sc.Evaluated, sc)
+		s.noteScan(tr, stageGUI, "widget_ids", phraseText, info.invisibleMatrix.Rows(), sc)
 	}
 	return out
 }
@@ -413,12 +365,7 @@ func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *
 		}
 		for mi := range info.Messages {
 			msg := &info.Messages[mi]
-			nm := ""
-			if info.normMessages != nil {
-				nm = info.normMessages[mi]
-			} else {
-				nm = normalizeMessage(msg.Text)
-			}
+			nm := info.normMessages[mi]
 			if nm == "" || !(strings.Contains(nm, nq) || strings.Contains(nq, nm)) {
 				continue
 			}
@@ -454,13 +401,7 @@ func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *
 		for _, mod := range mods {
 			for ai := range info.APIs {
 				use := &info.APIs[ai]
-				var words []string
-				if info.descWords != nil {
-					words = info.descWords[ai]
-				} else {
-					words = textproc.Words(use.API.Description)
-				}
-				sim, ok := descriptionMention(words, mod, s.vec)
+				sim, ok := descriptionMention(info.descWords[ai], mod, s.vec)
 				if !ok {
 					continue
 				}
@@ -700,22 +641,19 @@ var collectionVerbs = map[string]struct{}{
 
 // localizeAPIURIIntent implements Algorithm 1: verb phrases against API
 // phrases, verb-phrase objects against URI nouns and intent nouns. The
-// whole-catalog API scan — the dominant Table 15 cost — is chunked across
-// workers with a deterministic candidate-order merge. The default matcher
-// scans the flattened catalog matrix with the dot-only kernel and anchor
-// prescreen, reading the permission-noun and URI/intent-noun vectors cached
-// at construction/extraction time; WithLegacyCosine restores the per-struct
-// full-cosine pass (byte-identical output, property-tested).
+// whole-catalog API scan — the dominant Table 15 cost — walks the flattened
+// catalog matrix with the dot-only kernel and anchor prescreen, chunked
+// across workers with a deterministic candidate-order merge. The
+// permission-noun and URI/intent-noun vectors are cached at
+// construction/extraction time.
 func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
 	var out []Mapping
 	table := s.catalogVecs()
-	useKernel := !s.legacyCosine
 	threshold := s.vec.Threshold()
 	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		vp := ra.VerbPhrases[vi]
 		prep := s.fe.prep(s, ra.vpKey(vi), vp)
-		v := prep.vec
 		phraseText := prep.text
 		_, isCollect := collectionVerbs[vp.Verb]
 		hasObject := prep.hasObj
@@ -730,38 +668,19 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 				var ck scanChunk
 				for ei := start; ei < end; ei++ {
 					entry := &table.entries[ei]
-					matched := false
-					sim := 0.0
 					source := "API"
-					if useKernel {
-						var esc wordvec.ScanCount
-						matched, esc = table.matrix.AnyAtLeastCount(q, threshold,
-							int(table.rowStart[ei]), int(table.rowStart[ei+1]))
-						ck.scan.Merge(esc)
-						if matched {
-							sim = threshold // AnyAtLeast stops at the hit; record the floor
-						}
-					} else {
-						for _, pv := range entry.vecs {
-							ck.scan.Evaluated++
-							if c := wordvec.Cosine(v, pv); c >= threshold {
-								matched, sim = true, c
-								ck.scan.Matched++
-								break
-							}
-						}
+					matched, esc := table.matrix.AnyAtLeastCount(q, threshold,
+						int(table.rowStart[ei]), int(table.rowStart[ei+1]))
+					ck.scan.Merge(esc)
+					sim := 0.0
+					if matched {
+						sim = threshold // AnyAtLeast stops at the hit; record the floor
 					}
 					// Permission-protected personal data: collection verb +
 					// object similar to the permission nouns (cached per
 					// entry — the seed re-derived them per phrase×entry).
 					if !matched && isCollect && hasObject && len(entry.permNouns) > 0 {
-						var psim float64
-						if useKernel {
-							psim = wordvec.Dot(objVec, entry.permVec)
-						} else {
-							psim = s.vec.Similarity(vp.Object, entry.permNouns)
-						}
-						if psim >= threshold {
+						if psim := wordvec.Dot(objVec, entry.permVec); psim >= threshold {
 							matched, sim, source = true, psim, "permission"
 						}
 					}
@@ -804,12 +723,7 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 			if len(use.Nouns) == 0 {
 				continue
 			}
-			var sim float64
-			if useKernel && info.uriNounVecs != nil {
-				sim = wordvec.Dot(objVec, info.uriNounVecs[ui])
-			} else {
-				sim = wordvec.Cosine(objVec, s.vec.PhraseVector(use.Nouns))
-			}
+			sim := wordvec.Dot(objVec, info.uriNounVecs[ui])
 			if sim < threshold {
 				continue
 			}
@@ -836,14 +750,9 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 		for ii := range info.Intents {
 			use := &info.Intents[ii]
 			matched, sim := false, 0.0
-			for ni, noun := range use.Nouns {
-				if useKernel && info.intentNounVecs != nil {
-					if d := wordvec.Dot(objVec, info.intentNounVecs[ii][ni]); d >= threshold {
-						matched, sim = true, d
-						break
-					}
-				} else if c := s.vec.Similarity(vp.Object, []string{noun}); c >= threshold {
-					matched, sim = true, c
+			for _, nv := range info.intentNounVecs[ii] {
+				if d := wordvec.Dot(objVec, nv); d >= threshold {
+					matched, sim = true, d
 					break
 				}
 			}

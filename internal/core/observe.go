@@ -44,13 +44,6 @@ const (
 	metricPrescreenEvaluated = "prescreen_evaluated_total"
 	metricPrescreenMatched   = "prescreen_matched_total"
 
-	// Quantized-tier breakdown of pruned rows (see wordvec/quant.go). The
-	// counters only ever appear when a quantized tier actually pruned
-	// something, so corpora scanned on the float path keep their exact
-	// pre-tier metric set.
-	metricQuantIVFPruned   = "quant_ivf_pruned_total"
-	metricQuantBoundPruned = "quant_bound_pruned_total"
-
 	metricPoolJobs       = "pool_jobs_total"
 	metricPoolQueueDepth = "pool_queue_depth"
 	metricPoolBusy       = "pool_workers_busy"
@@ -92,18 +85,12 @@ func (s *Solver) simHist() *obs.Histogram {
 // goroutines — race-safe by construction under Pool and WithParallelism.
 func (s *Solver) noteScan(tr *obs.ReviewTrace, stage, matrix, phrase string, rows int, sc wordvec.ScanCount) {
 	if s.rec != nil {
-		s.rec.Counter(metricPrescreenPruned).Add(int64(sc.TotalPruned()))
+		s.rec.Counter(metricPrescreenPruned).Add(int64(sc.Pruned))
 		s.rec.Counter(metricPrescreenEvaluated).Add(int64(sc.Evaluated))
 		s.rec.Counter(metricPrescreenMatched).Add(int64(sc.Matched))
-		if sc.IVFPruned > 0 {
-			s.rec.Counter(metricQuantIVFPruned).Add(int64(sc.IVFPruned))
-		}
-		if sc.BoundPruned > 0 {
-			s.rec.Counter(metricQuantBoundPruned).Add(int64(sc.BoundPruned))
-		}
 	}
 	tr.AddScan(obs.ScanTrace{
 		Stage: stage, Matrix: matrix, Phrase: phrase,
-		Rows: rows, Pruned: sc.TotalPruned(), Evaluated: sc.Evaluated, Matched: sc.Matched,
+		Rows: rows, Pruned: sc.Pruned, Evaluated: sc.Evaluated, Matched: sc.Matched,
 	})
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"sort"
+	"sync"
 
 	"reviewsolver/internal/apg"
+	"reviewsolver/internal/apk"
 )
 
 // RankedClass is one recommended class with its ranking signals (§4.3).
@@ -93,4 +95,36 @@ func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed map[string]str
 		out = out[:n]
 	}
 	return out
+}
+
+// releaseDiffCache memoizes the changed-class sets change-aware ranking
+// consults, keyed by the (previous, current) release pointer pair. Held by
+// Solver as a pointer so copies made from a snapshot template share one
+// cache; sync.Map fits the write-once read-many access pattern.
+type releaseDiffCache struct {
+	m sync.Map // [2]*apk.Release -> map[string]struct{}
+}
+
+// changedClasses returns the set of classes added or changed between prev
+// and cur, memoized when a cache is installed (WithChangeAwareRank).
+func (s *Solver) changedClasses(prev, cur *apk.Release) map[string]struct{} {
+	if s.changedCache == nil {
+		return changedClassSet(prev, cur)
+	}
+	key := [2]*apk.Release{prev, cur}
+	if v, ok := s.changedCache.m.Load(key); ok {
+		return v.(map[string]struct{})
+	}
+	set := changedClassSet(prev, cur)
+	actual, _ := s.changedCache.m.LoadOrStore(key, set)
+	return actual.(map[string]struct{})
+}
+
+func changedClassSet(prev, cur *apk.Release) map[string]struct{} {
+	d := apk.DiffReleases(prev, cur)
+	set := make(map[string]struct{})
+	for _, n := range d.TouchedClasses() {
+		set[n] = struct{}{}
+	}
+	return set
 }

@@ -50,14 +50,6 @@ const (
 	secCatRes   = 7
 	secCatPerm  = 8
 
-	// Quantized-tier sections (optional; absent in snapshots written before
-	// the tier existed or when the matrix never built one — the loader then
-	// quantizes lazily). QF is one float block (scales ‖ row errors ‖
-	// cluster centroids ‖ cluster radii), QB the integer codes with their
-	// offsets and cluster ids.
-	secCatQF = 9
-	secCatQB = 10
-
 	// Per-release sections live at relSecBase + releaseIndex*relSecStride
 	// plus one of the rel* offsets.
 	relSecBase   = 0x100
@@ -70,17 +62,6 @@ const (
 	relIData     = 5
 	relIProj     = 6
 	relIRes      = 7
-	relMQF       = 8
-	relMQB       = 9
-	relIQF       = 10
-	relIQB       = 11
-
-	// Delta images (see snapdelta.go): secDeltaMeta marks the container as
-	// a delta against a base image and records the binding; a release's
-	// relDelta section holds its row maps, with the relM*/relI* float
-	// sections then carrying only the rows the base does not supply.
-	secDeltaMeta = 11
-	relDelta     = 12
 )
 
 // relSection returns the section ID of one per-release block.
@@ -181,9 +162,7 @@ func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
 
 	w.Add(secInterner, internerPayload())
 
-	if err := encodeCatalog(w, sn.catalogVecs); err != nil {
-		return nil, err
-	}
+	encodeCatalog(w, sn.catalogVecs)
 	for ri, r := range app.Releases {
 		if err := encodeRelease(w, ri, sn.StaticFor(r)); err != nil {
 			return nil, fmt.Errorf("release %s: %w", r.Version, err)
@@ -201,7 +180,7 @@ func SaveSnapshot(sn *Snapshot, app *apk.App, path string) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-func encodeCatalog(w *snapfile.Writer, t *catalogTable) error {
+func encodeCatalog(w *snapfile.Writer, t *catalogTable) {
 	meta := snapfile.NewEnc(1 << 14)
 	meta.U32(uint32(len(t.entries)))
 	nouns := 0
@@ -213,9 +192,6 @@ func encodeCatalog(w *snapfile.Writer, t *catalogTable) error {
 	for i := range t.entries {
 		e := &t.entries[i]
 		meta.U32(uint32(t.rowStart[i+1] - t.rowStart[i]))
-		if len(e.vecs) != int(t.rowStart[i+1]-t.rowStart[i]) {
-			return fmt.Errorf("catalog entry %d: %d vecs vs %d rows", i, len(e.vecs), t.rowStart[i+1]-t.rowStart[i])
-		}
 		meta.StrSlice(e.permNouns)
 		if len(e.permNouns) > 0 {
 			for _, f := range e.permVec {
@@ -229,42 +205,6 @@ func encodeCatalog(w *snapfile.Writer, t *catalogTable) error {
 	w.Add(secCatProj, snapfile.Float64Bytes(proj))
 	w.Add(secCatRes, snapfile.Float64Bytes(res))
 	w.Add(secCatPerm, perm.Bytes())
-	encodeQuant(w, secCatQF, secCatQB, t.matrix)
-	return nil
-}
-
-// encodeQuant persists a matrix's quantized scan tier: the float block and
-// the integer code block. Matrices without a tier write nothing — the
-// sections are optional, so snapshots stay byte-identical to the pre-tier
-// format unless a tier exists, and old readers that ignore unknown sections
-// keep working.
-func encodeQuant(w *snapfile.Writer, qfID, qbID uint32, m *wordvec.Matrix) {
-	if !m.HasQuant() {
-		return
-	}
-	p, _ := m.Quant()
-	floats := make([]float64, 0, len(p.Scales)+len(p.Errs)+len(p.ResCent)+
-		len(p.ResSpread)+len(p.BoxMin)+len(p.BoxMax))
-	floats = append(floats, p.Scales...)
-	floats = append(floats, p.Errs...)
-	floats = append(floats, p.ResCent...)
-	floats = append(floats, p.ResSpread...)
-	floats = append(floats, p.BoxMin...)
-	floats = append(floats, p.BoxMax...)
-	w.Add(qfID, snapfile.Float64Bytes(floats))
-
-	e := snapfile.NewEnc(12 + 4*len(p.Offs) + 2*len(p.ClusterOf) + len(p.Data))
-	e.U32(uint32(m.Rows()))
-	e.U32(uint32(len(p.ResSpread)))
-	e.U32(uint32(len(p.Data)))
-	for _, o := range p.Offs {
-		e.U32(o)
-	}
-	for _, c := range p.ClusterOf {
-		e.U16(c)
-	}
-	e.Raw(p.Data)
-	w.Add(qbID, e.Bytes())
 }
 
 func encodeRelease(w *snapfile.Writer, ri int, info *StaticInfo) error {
@@ -280,14 +220,11 @@ func encodeRelease(w *snapfile.Writer, ri int, info *StaticInfo) error {
 	w.Add(relSection(ri, relIData), snapfile.Float64Bytes(info.invisibleMatrix.Data()))
 	w.Add(relSection(ri, relIProj), snapfile.Float64Bytes(iProj))
 	w.Add(relSection(ri, relIRes), snapfile.Float64Bytes(iRes))
-	encodeQuant(w, relSection(ri, relMQF), relSection(ri, relMQB), info.methodMatrix)
-	encodeQuant(w, relSection(ri, relIQF), relSection(ri, relIQB), info.invisibleMatrix)
 	return nil
 }
 
 // encodeReleaseMeta writes the inventory (REL_META) and loose-vector
-// (REL_VECS) sections — the half of a release's encoding shared between the
-// full and the delta format.
+// (REL_VECS) sections of one release.
 func encodeReleaseMeta(w *snapfile.Writer, ri int, info *StaticInfo) error {
 	meta := snapfile.NewEnc(1 << 15)
 	meta.Str(info.Release.Version)

@@ -250,3 +250,27 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 		}
 	})
 }
+
+// TestLoadSnapshotRejectsVersion1: format version 2 retired the quantized
+// tier and delta-image sections, so every version 1 image — a plain full
+// image as much as one carrying the retired section IDs — fails with the
+// typed snapfile.ErrVersion.
+func TestLoadSnapshotRejectsVersion1(t *testing.T) {
+	_, _, img := buildImage(t, 3)
+	// A container holding the retired catalog quant-tier pair (9, 10) and
+	// the delta binding (11).
+	w := snapfile.NewWriter()
+	for _, id := range []uint32{secMeta, 9, 10, 11} {
+		w.Add(id, []byte{0, 0, 0, 0})
+	}
+	for _, tc := range []struct {
+		name string
+		img  []byte
+	}{{"full image", img}, {"retired sections", w.Bytes()}} {
+		v1 := append([]byte(nil), tc.img...)
+		binary.LittleEndian.PutUint32(v1[8:], 1)
+		if _, _, err := LoadSnapshotBytes(v1); !errors.Is(err, snapfile.ErrVersion) {
+			t.Fatalf("%s at version 1: err = %v, want ErrVersion", tc.name, err)
+		}
+	}
+}

@@ -74,9 +74,6 @@ func LoadSnapshotBytes(data []byte, opts ...Option) (*Snapshot, *apk.App, error)
 }
 
 func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, error) {
-	if _, isDelta := r.Section(secDeltaMeta); isDelta {
-		return nil, nil, ErrSnapshotDelta
-	}
 	s := *loadTemplate()
 	for _, opt := range opts {
 		opt(&s)
@@ -153,14 +150,14 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 			wg.Add(1)
 			go func(ri int, release *apk.Release) {
 				defer wg.Done()
-				infos[ri], errs[ri] = loadRelease(r, ri, release, table, s.forceQuant)
+				infos[ri], errs[ri] = loadRelease(r, ri, release, table)
 			}(ri, release)
 		}
 		wg.Wait()
 	} else {
 		// On a single P the goroutines would only add scheduling overhead.
 		for ri, release := range app.Releases {
-			infos[ri], errs[ri] = loadRelease(r, ri, release, table, s.forceQuant)
+			infos[ri], errs[ri] = loadRelease(r, ri, release, table)
 		}
 	}
 	for ri, release := range app.Releases {
@@ -179,9 +176,8 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	return sn, app, nil
 }
 
-// loadCatalogTable stitches the catalog scan table back together: matrix
-// and sketch are zero-copy views of the file image; the per-entry []Vector
-// slices are sub-slices of one shared RowVectors view.
+// loadCatalogTable stitches the catalog scan table back together: matrix,
+// sketch and permission vectors are zero-copy views of the file image.
 func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
 	data, proj, res, err := matrixParts(r, secCatData, secCatProj, secCatRes)
 	if err != nil {
@@ -190,13 +186,6 @@ func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
 	matrix, err := wordvec.MatrixFromParts(data, proj, res)
 	if err != nil {
 		return nil, fmt.Errorf("%w: catalog matrix: %v", snapfile.ErrCorrupt, err)
-	}
-	if err := loadQuant(r, secCatQF, secCatQB, matrix, s.forceQuant); err != nil {
-		return nil, err
-	}
-	rowVecs, err := wordvec.RowVectors(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapfile.ErrCorrupt, err)
 	}
 
 	metaPayload, err := r.MustSection(secCatMeta)
@@ -238,7 +227,6 @@ func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
 		if row+vecCount > matrix.Rows() {
 			return nil, fmt.Errorf("%w: catalog rows overflow at entry %d", snapfile.ErrCorrupt, i)
 		}
-		entry.vecs = rowVecs[row : row+vecCount : row+vecCount]
 		row += vecCount
 		if len(entry.permNouns) > 0 {
 			if permUsed >= len(permVecs) {
@@ -279,77 +267,11 @@ func matrixParts(r *snapfile.Reader, dataID, projID, resID uint32) (data, proj, 
 	return data, proj, res, nil
 }
 
-// loadQuant restores a matrix's quantized tier from its optional section
-// pair: when present, the float block and the integer codes are adopted as
-// zero-copy views of the image (only the small offset/cluster index arrays
-// are decoded onto the heap); when absent — every snapshot written before
-// the tier existed — the matrix quantizes lazily under the solver's policy,
-// so old images keep loading and serve through the same fast path.
-func loadQuant(r *snapfile.Reader, qfID, qbID uint32, m *wordvec.Matrix, force bool) error {
-	fPayload, okF := r.Section(qfID)
-	bPayload, okB := r.Section(qbID)
-	if okF != okB {
-		return fmt.Errorf("%w: quant section pair %#x/%#x half present", snapfile.ErrCorrupt, qfID, qbID)
-	}
-	if !okF {
-		if force {
-			m.EnsureQuantForce()
-		} else {
-			m.EnsureQuant()
-		}
-		return nil
-	}
-	floats, err := snapfile.Float64View(fPayload)
-	if err != nil {
-		return err
-	}
-	d := snapfile.NewDecZeroCopy(bPayload)
-	rows := d.Count(4)
-	k := int(d.U32())
-	dataLen := int(d.U32())
-	offs := make([]uint32, 0, rows+1)
-	for i := 0; i <= rows && d.Err() == nil; i++ {
-		offs = append(offs, d.U32())
-	}
-	clusterOf := make([]uint16, rows)
-	for i := range clusterOf {
-		clusterOf[i] = d.U16()
-	}
-	data := d.Raw(dataLen)
-	if err := d.Done(); err != nil {
-		return err
-	}
-	// QF float layout: scales(rows) ‖ errs(rows) ‖ resCent(k·Dim) ‖
-	// resSpread(k) ‖ boxMin(k·K) ‖ boxMax(k·K).
-	bk := wordvec.BasisSize()
-	if k < 0 || k > rows || len(floats) != 2*rows+k*(wordvec.Dim+1)+2*k*bk {
-		return fmt.Errorf("%w: quant float block has %d floats for %d rows, %d clusters",
-			snapfile.ErrCorrupt, len(floats), rows, k)
-	}
-	var p wordvec.QuantParts
-	cut := func(n int) []float64 {
-		out := floats[:n]
-		floats = floats[n:]
-		return out
-	}
-	p.Scales = cut(rows)
-	p.Errs = cut(rows)
-	p.ResCent = cut(k * wordvec.Dim)
-	p.ResSpread = cut(k)
-	p.BoxMin = cut(k * bk)
-	p.BoxMax = cut(k * bk)
-	p.Offs, p.ClusterOf, p.Data = offs, clusterOf, data
-	if err := m.AdoptQuant(p, true); err != nil {
-		return fmt.Errorf("%w: %v", snapfile.ErrCorrupt, err)
-	}
-	return nil
-}
-
 // loadRelease reconstructs one release's StaticInfo: inventories from
 // REL_META, loose vectors as sub-slices of the REL_VECS view, matrices as
 // zero-copy parts, and the cheap derivations (graph, exceptions,
 // permissions, invisible-row index) recomputed from the decoded IR.
-func loadRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalogTable, force bool) (*StaticInfo, error) {
+func loadRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalogTable) (*StaticInfo, error) {
 	info, err := loadReleaseMeta(r, ri, release, table)
 	if err != nil {
 		return nil, err
@@ -370,16 +292,33 @@ func loadRelease(r *snapfile.Reader, ri int, release *apk.Release, table *catalo
 	if info.invisibleMatrix, err = wordvec.MatrixFromParts(iData, iProj, iRes); err != nil {
 		return nil, fmt.Errorf("%w: invisible matrix: %v", snapfile.ErrCorrupt, err)
 	}
-	if err := attachReleaseMatrices(r, ri, info, force); err != nil {
-		return nil, err
+	if info.methodMatrix.Rows() != len(info.MethodPhrases) {
+		return nil, fmt.Errorf("%w: %d method rows for %d phrases", snapfile.ErrCorrupt, info.methodMatrix.Rows(), len(info.MethodPhrases))
+	}
+	// Rebuild the invisible-row index in the exact nested order
+	// buildScanState emits: one row per non-empty widget-id word list.
+	rows := info.invisibleMatrix.Rows()
+	info.invisibleRows = make([]invisibleRef, 0, rows)
+	for gi := range info.GUIs {
+		for wi, words := range info.GUIs[gi].InvisibleWords {
+			if len(words) == 0 {
+				continue
+			}
+			if len(info.invisibleRows) == rows {
+				return nil, fmt.Errorf("%w: invisible matrix underflow", snapfile.ErrCorrupt)
+			}
+			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
+		}
+	}
+	if len(info.invisibleRows) != rows {
+		return nil, fmt.Errorf("%w: invisible matrix has %d unused rows", snapfile.ErrCorrupt, rows-len(info.invisibleRows))
 	}
 	return info, nil
 }
 
 // loadReleaseMeta reconstructs the inventory half of one release — the
 // REL_META records with their loose REL_VECS vectors — leaving the two scan
-// matrices unset. Shared by the full loader (which attaches zero-copy
-// matrices) and the delta loader (which materializes them from base rows).
+// matrices unset.
 func loadReleaseMeta(r *snapfile.Reader, ri int, release *apk.Release, table *catalogTable) (*StaticInfo, error) {
 	metaPayload, err := r.MustSection(relSection(ri, relMeta))
 	if err != nil {
@@ -537,59 +476,4 @@ func loadReleaseMeta(r *snapfile.Reader, ri int, release *apk.Release, table *ca
 		return nil, fmt.Errorf("%w: loose vector block has %d unused rows", snapfile.ErrCorrupt, len(looseVecs)-vecOff)
 	}
 	return info, nil
-}
-
-// attachReleaseMatrices finishes a release whose methodMatrix and
-// invisibleMatrix are already set: cross-checks row counts, copies the
-// per-phrase vectors, restores (or lazily builds) the quantized tiers, and
-// rebuilds the invisible-row index in the exact nested order buildScanState
-// emits (the zero vector marks empty id-word lists, as in
-// embedInvisibleLabels).
-func attachReleaseMatrices(r *snapfile.Reader, ri int, info *StaticInfo, force bool) error {
-	if info.methodMatrix.Rows() != len(info.MethodPhrases) {
-		return fmt.Errorf("%w: %d method rows for %d phrases", snapfile.ErrCorrupt, info.methodMatrix.Rows(), len(info.MethodPhrases))
-	}
-	for i := range info.MethodPhrases {
-		copy(info.MethodPhrases[i].Vec[:], info.methodMatrix.Row(i))
-	}
-	if err := loadQuant(r, relSection(ri, relMQF), relSection(ri, relMQB), info.methodMatrix, force); err != nil {
-		return err
-	}
-	if err := loadQuant(r, relSection(ri, relIQF), relSection(ri, relIQB), info.invisibleMatrix, force); err != nil {
-		return err
-	}
-
-	invRows, err := wordvec.RowVectors(info.invisibleMatrix.Data())
-	if err != nil {
-		return fmt.Errorf("%w: %v", snapfile.ErrCorrupt, err)
-	}
-	info.invisibleVecs = make([][]wordvec.Vector, len(info.GUIs))
-	totalWords := 0
-	for gi := range info.GUIs {
-		totalWords += len(info.GUIs[gi].InvisibleWords)
-	}
-	vecArena := make([]wordvec.Vector, totalWords)
-	info.invisibleRows = make([]invisibleRef, 0, len(invRows))
-	used := 0
-	for gi := range info.GUIs {
-		words := info.GUIs[gi].InvisibleWords
-		vecs := vecArena[:len(words):len(words)]
-		vecArena = vecArena[len(words):]
-		for wi := range words {
-			if len(words[wi]) == 0 {
-				continue
-			}
-			if used >= len(invRows) {
-				return fmt.Errorf("%w: invisible matrix underflow", snapfile.ErrCorrupt)
-			}
-			vecs[wi] = invRows[used]
-			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
-			used++
-		}
-		info.invisibleVecs[gi] = vecs
-	}
-	if used != len(invRows) {
-		return fmt.Errorf("%w: invisible matrix has %d unused rows", snapfile.ErrCorrupt, len(invRows)-used)
-	}
-	return nil
 }

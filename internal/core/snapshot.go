@@ -40,15 +40,6 @@ type Snapshot struct {
 	// entries plus the flattened scan matrix with its prescreen sketch.
 	catalogVecs *catalogTable
 
-	// borrowedCatalog marks a delta-loaded snapshot whose catalogVecs is
-	// shared with its base snapshot: the base (and its image) owns those
-	// bytes, so QuantBytes must not count the catalog tier twice.
-	borrowedCatalog bool
-	// materializedBytes counts the heap float bytes a delta load copied out
-	// of its base (see LoadSnapshotDelta) — the part of this snapshot's
-	// footprint that is NOT accounted for by its own image length.
-	materializedBytes int64
-
 	mu     sync.Mutex
 	static map[*apk.Release]*staticEntry
 }
@@ -144,31 +135,3 @@ func (sn *Snapshot) PrecomputeApp(app *apk.App) {
 // CatalogSize returns the number of framework APIs whose phrase embeddings
 // the snapshot precomputed.
 func (sn *Snapshot) CatalogSize() int { return len(sn.catalogVecs.entries) }
-
-// QuantBytes reports the heap bytes the quantized scan tiers occupy across
-// the catalog matrix and every extracted release (0 without tiers; adopted
-// tiers count only their decoded index arrays — the code and float blocks
-// alias the snapshot image, whose length the owner already accounts for).
-// Serving registries add it to their per-entry byte budgets. Call it after
-// load or Precompute: releases whose extraction is still in flight are not
-// awaited and count as zero.
-func (sn *Snapshot) QuantBytes() int64 {
-	var total int64
-	if !sn.borrowedCatalog {
-		total = sn.catalogVecs.matrix.QuantHeapBytes()
-	}
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	for _, e := range sn.static {
-		if info := e.info; info != nil {
-			total += info.methodMatrix.QuantHeapBytes() + info.invisibleMatrix.QuantHeapBytes()
-		}
-	}
-	return total
-}
-
-// MaterializedBytes reports the heap float bytes a delta load copied out of
-// its base image (zero for snapshots loaded from a full image or built in
-// memory). Registries add it, alongside the image length and QuantBytes, to
-// an entry's byte budget.
-func (sn *Snapshot) MaterializedBytes() int64 { return sn.materializedBytes }

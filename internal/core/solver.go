@@ -52,17 +52,6 @@ type Solver struct {
 	// breakdown. Empty (the default) emits aggregate counters only.
 	appLabel string
 
-	// legacyCosine routes the phrase×candidate scans through the retired
-	// per-struct full-cosine path instead of the flattened dot kernel. The
-	// two paths produce byte-identical mappings (property-tested); the flag
-	// exists so the equivalence stays testable.
-	legacyCosine bool
-
-	// forceQuant builds the quantized scan tier on every matrix regardless
-	// of size. Without it the tier engages automatically on fleet-scale
-	// matrices only (wordvec.EnsureQuant's row gate).
-	forceQuant bool
-
 	// changeAware boosts candidate classes touched between the review's
 	// release and its predecessor to the top of the ranking (§4.1.6's
 	// update intuition applied at rank time). changedCache memoizes the
@@ -92,13 +81,13 @@ type Solver struct {
 	fe *frontend
 }
 
-// catalogAPI pairs a framework API with its precomputed phrase embeddings
-// and, for permission-protected APIs, the nouns of the protecting
-// permission's description with their phrase embedding (hoisted out of the
-// Algorithm 1 inner loop — the seed recomputed them per phrase×entry).
+// catalogAPI pairs a framework API with, for permission-protected APIs, the
+// nouns of the protecting permission's description and their phrase
+// embedding (hoisted out of the Algorithm 1 inner loop — the seed
+// recomputed them per phrase×entry). The API's describing-phrase
+// embeddings live in the catalogTable matrix.
 type catalogAPI struct {
 	api       sdk.API
-	vecs      []wordvec.Vector
 	permNouns []string
 	permVec   wordvec.Vector
 }
@@ -137,9 +126,7 @@ func (s *Solver) buildCatalogVecs() *catalogTable {
 	for _, api := range apis {
 		entry := catalogAPI{api: api}
 		for _, phrase := range apiPhrases(api) {
-			v := s.vec.PhraseVector(phrase)
-			entry.vecs = append(entry.vecs, v)
-			t.matrix.Append(v)
+			t.matrix.Append(s.vec.PhraseVector(phrase))
 		}
 		if api.Permission != "" {
 			entry.permNouns = permissionNouns(s, api.Permission)
@@ -151,20 +138,7 @@ func (s *Solver) buildCatalogVecs() *catalogTable {
 		t.rowStart = append(t.rowStart, int32(t.matrix.Rows()))
 	}
 	t.matrix.Finish()
-	s.quantize(t.matrix)
 	return t
-}
-
-// quantize applies the solver's quantized-tier policy to a finished matrix:
-// forced everywhere under WithQuantizedScan, auto-gated by row count
-// otherwise. Either way the scan output is exact, so this only ever changes
-// speed, never results.
-func (s *Solver) quantize(m *wordvec.Matrix) {
-	if s.forceQuant {
-		m.EnsureQuantForce()
-	} else {
-		m.EnsureQuant()
-	}
 }
 
 // Option configures a Solver.
@@ -212,28 +186,6 @@ func WithWordModel(m *wordvec.Model) Option {
 // deterministically, so rankings are identical to the sequential path.
 func WithParallelism(n int) Option {
 	return func(s *Solver) { s.parallelism = normalizeWorkers(n) }
-}
-
-// WithLegacyCosine routes the phrase×candidate scans through the retired
-// per-struct full-cosine matcher instead of the flattened dot kernel. The
-// kernel path exploits the unit-vector invariant of wordvec (dot == cosine)
-// and scans contiguous matrices with an exact anchor prescreen; this flag
-// keeps the original path alive so the byte-identical property stays
-// testable (and for A/B benchmarks).
-func WithLegacyCosine() Option {
-	return func(s *Solver) { s.legacyCosine = true }
-}
-
-// WithQuantizedScan forces the quantized scan tier (integer row codes with
-// sound error bounds plus the inverted-file cluster prescreen, see
-// wordvec/quant.go) onto every candidate matrix, regardless of the
-// fleet-size auto gate. The tier only skips rows that provably cannot reach
-// the similarity threshold and rescores survivors with the exact float
-// kernel, so localization output is byte-identical with or without this
-// option — property-tested; the flag exists so the equivalence stays
-// testable at every matrix size (and for A/B benchmarks).
-func WithQuantizedScan() Option {
-	return func(s *Solver) { s.forceQuant = true }
 }
 
 // WithChangeAwareRank ranks candidate classes that changed between the
@@ -331,7 +283,7 @@ func (s *Solver) IsErrorReview(text string) bool {
 
 // StaticFor returns the (cached) §3.3 extraction for a release. Snapshot-
 // backed solvers read through the shared concurrency-safe snapshot cache;
-// standalone solvers keep the legacy private map (not safe for concurrent
+// standalone solvers keep a private map (not safe for concurrent
 // use — share work through a Snapshot instead).
 func (s *Solver) StaticFor(r *apk.Release) *StaticInfo {
 	if s.snap != nil {

@@ -16,15 +16,13 @@ import (
 	"reviewsolver/internal/wordvec"
 )
 
-// MethodPhrase is a verb phrase derived from a method name (§4.1.1) with
-// its precomputed embedding.
+// MethodPhrase is a verb phrase derived from a method name (§4.1.1). Its
+// embedding is the matching row of the release's method-phrase matrix.
 type MethodPhrase struct {
 	// Method is the source method.
 	Method *apk.Method
 	// Words is the derived phrase ("get email").
 	Words []string
-	// Vec is the phrase embedding.
-	Vec wordvec.Vector
 	// FromSummary marks phrases predicted by the code summarizer rather
 	// than derived from the raw method name.
 	FromSummary bool
@@ -94,27 +92,21 @@ type StaticInfo struct {
 	// (6) visible and (7) invisible GUI label information.
 	GUIs []gui.ActivityGUI
 
-	// invisibleVecs[i][j] is the precomputed phrase embedding of
-	// GUIs[i].InvisibleWords[j], so query-time widget matching never
-	// re-embeds static label text (the zero vector marks empty id-word
-	// lists).
-	invisibleVecs [][]wordvec.Vector
-
 	// Exceptions thrown/caught by developer methods.
 	Exceptions []apg.ExceptionSite
 
 	// --- flattened scan state (built once by buildScanState) -----------------
 	//
 	// The kernel matcher walks these contiguous structure-of-arrays blocks
-	// instead of chasing the per-candidate structs above; the structs stay
-	// for evidence strings and the legacy cosine path.
+	// of precomputed embeddings, so query-time matching never re-embeds
+	// static text; the structs above stay for evidence strings.
 
-	// methodMatrix rows are parallel to MethodPhrases.
+	// methodMatrix rows are the embeddings of MethodPhrases, in order.
 	methodMatrix *wordvec.Matrix
 
-	// invisibleMatrix holds every non-empty widget-id phrase vector;
-	// invisibleRows maps its rows back to (GUI index, widget index), in the
-	// same nested order the legacy loops visit.
+	// invisibleMatrix holds the embedding of every non-empty widget-id
+	// phrase; invisibleRows maps its rows back to (GUI index, widget index),
+	// in nested GUI×widget order.
 	invisibleMatrix *wordvec.Matrix
 	invisibleRows   []invisibleRef
 
@@ -158,23 +150,22 @@ func (s *Solver) ExtractStatic(r *apk.Release) *StaticInfo {
 	info.extractIntents(s, g)
 	info.extractMessages(g)
 	info.extractMethodPhrases(s, g)
-	info.embedInvisibleLabels(s)
 	info.buildScanState(s)
 	return info
 }
 
-// buildScanState flattens the extracted embeddings into the contiguous
-// matrices the kernel matcher scans, and precomputes the static-text caches
-// (tokenized API descriptions, normalized messages, URI/intent noun
-// vectors). Everything here is derived deterministically from fields built
-// above; after this call the StaticInfo is read-only.
+// buildScanState embeds the method phrases (§4.1.1) and the expanded
+// widget-id word lists (§4.1.2) into the contiguous matrices the kernel
+// matcher scans, and precomputes the static-text caches (tokenized API
+// descriptions, normalized messages, URI/intent noun vectors). Everything
+// here is derived deterministically from fields built above; after this
+// call the StaticInfo is read-only.
 func (info *StaticInfo) buildScanState(s *Solver) {
 	info.methodMatrix = wordvec.NewMatrix(len(info.MethodPhrases))
 	for i := range info.MethodPhrases {
-		info.methodMatrix.Append(info.MethodPhrases[i].Vec)
+		info.methodMatrix.Append(s.vec.PhraseVector(info.MethodPhrases[i].Words))
 	}
 	info.methodMatrix.Finish()
-	s.quantize(info.methodMatrix)
 
 	info.invisibleMatrix = wordvec.NewMatrix(0)
 	for gi := range info.GUIs {
@@ -182,12 +173,11 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 			if len(idWords) == 0 {
 				continue
 			}
-			info.invisibleMatrix.Append(info.invisibleVecs[gi][wi])
+			info.invisibleMatrix.Append(s.vec.PhraseVector(idWords))
 			info.invisibleRows = append(info.invisibleRows, invisibleRef{GUI: int32(gi), Widget: int32(wi)})
 		}
 	}
 	info.invisibleMatrix.Finish()
-	s.quantize(info.invisibleMatrix)
 
 	info.uriNounVecs = make([]wordvec.Vector, len(info.URIs))
 	for i := range info.URIs {
@@ -213,24 +203,6 @@ func (info *StaticInfo) buildScanState(s *Solver) {
 	info.normMessages = make([]string, len(info.Messages))
 	for i := range info.Messages {
 		info.normMessages[i] = normalizeMessage(info.Messages[i].Text)
-	}
-}
-
-// embedInvisibleLabels precomputes the phrase vectors of every expanded
-// widget-id word list (§4.1.2), the per-query cost the GUI localizer would
-// otherwise pay on every review.
-func (info *StaticInfo) embedInvisibleLabels(s *Solver) {
-	info.invisibleVecs = make([][]wordvec.Vector, len(info.GUIs))
-	for gi := range info.GUIs {
-		g := &info.GUIs[gi]
-		vecs := make([]wordvec.Vector, len(g.InvisibleWords))
-		for wi, idWords := range g.InvisibleWords {
-			if len(idWords) == 0 {
-				continue
-			}
-			vecs[wi] = s.vec.PhraseVector(idWords)
-		}
-		info.invisibleVecs[gi] = vecs
 	}
 }
 
@@ -452,7 +424,6 @@ func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph) {
 			info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
 				Method: m,
 				Words:  phrase,
-				Vec:    s.vec.PhraseVector(phrase),
 			})
 		}
 		// Summarization: when the raw name is meaningless (obfuscated) or
@@ -463,7 +434,6 @@ func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph) {
 				info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
 					Method:      m,
 					Words:       words,
-					Vec:         s.vec.PhraseVector(words),
 					FromSummary: true,
 				})
 			}

@@ -82,18 +82,15 @@ var dynamicTextAPIs = []struct{ class, method string }{
 func Recover(r *apk.Release, g *apg.Graph) []ActivityGUI {
 	out := make([]ActivityGUI, 0, len(r.Manifest.Activities))
 	for _, decl := range r.Manifest.Activities {
-		out = append(out, RecoverActivity(r, g, decl))
+		out = append(out, recoverActivity(r, g, decl))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Activity < out[j].Activity })
 	return out
 }
 
-// RecoverActivity reconstructs the GUI of a single declared activity —
-// Recover's per-declaration step, exported so incremental rebuilds can
-// re-run it for just the activities a release diff touched. The result is
-// identical to the corresponding element Recover produces for the same
-// release and graph.
-func RecoverActivity(r *apk.Release, g *apg.Graph, decl apk.ActivityDecl) ActivityGUI {
+// recoverActivity reconstructs the GUI of a single declared activity —
+// Recover's per-declaration step.
+func recoverActivity(r *apk.Release, g *apg.Graph, decl apk.ActivityDecl) ActivityGUI {
 	a := ActivityGUI{Activity: decl.Name, LayoutID: decl.LayoutID}
 	if layout, ok := r.LayoutByID(decl.LayoutID); ok {
 		layout.Root.Walk(func(w *apk.Widget) {

@@ -21,9 +21,6 @@ const (
 	EventHotSwap EventType = "hot_swap"
 	// EventLoad: a snapshot load succeeded; the entry is live.
 	EventLoad EventType = "load"
-	// EventDeltaLoad: a snapshot loaded from a delta image patched against
-	// a resident base version (detail names the base version).
-	EventDeltaLoad EventType = "delta_load"
 	// EventLoadFailure: a snapshot load failed.
 	EventLoadFailure EventType = "load_failure"
 	// EventQuarantineEnter: the entry entered quarantine after a failed load.
@@ -43,9 +40,9 @@ const (
 // KnownEventType reports whether t is part of the journal taxonomy.
 func KnownEventType(t EventType) bool {
 	switch t {
-	case EventRegister, EventHotSwap, EventLoad, EventDeltaLoad,
-		EventLoadFailure, EventQuarantineEnter, EventQuarantineExit,
-		EventReprobe, EventEvict, EventRetireFreed:
+	case EventRegister, EventHotSwap, EventLoad, EventLoadFailure,
+		EventQuarantineEnter, EventQuarantineExit, EventReprobe, EventEvict,
+		EventRetireFreed:
 		return true
 	}
 	return false

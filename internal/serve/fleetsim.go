@@ -151,23 +151,9 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	corrupt := append([]byte(nil), imgA...)
 	corrupt[len(corrupt)-1] ^= 0xFF
 
-	// Mirror the registry's own cost accounting (image bytes + quant tiers)
-	// so the byte budget lands exactly one eviction per budget overflow.
-	sizeOf := func(img []byte) (int64, error) {
-		snap, _, err := core.LoadSnapshotBytes(img)
-		if err != nil {
-			return 0, err
-		}
-		return int64(len(img)) + snap.QuantBytes(), nil
-	}
-	sizeA, err := sizeOf(imgA)
-	if err != nil {
-		return nil, fmt.Errorf("fleetsim: size A: %w", err)
-	}
-	sizeB, err := sizeOf(imgB)
-	if err != nil {
-		return nil, fmt.Errorf("fleetsim: size B: %w", err)
-	}
+	// Mirror the registry's own cost accounting (the image length) so the
+	// byte budget lands exactly one eviction per budget overflow.
+	sizeA, sizeB := int64(len(imgA)), int64(len(imgB))
 
 	clk := &fleetClock{t: time.Unix(fleetSimEpoch, 0)}
 	met := obs.NewRegistry()

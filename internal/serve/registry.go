@@ -25,14 +25,7 @@ import (
 	"reviewsolver/internal/core"
 	"reviewsolver/internal/obs"
 	"reviewsolver/internal/serve/faultinject"
-	"reviewsolver/internal/snapfile"
 )
-
-// errNoDeltaBase: a delta image was registered but no resident live entry
-// of the same app serves the exact base image it was compiled against. The
-// entry quarantines (surfaced under ErrSnapshotLoad) and recovers via the
-// standard re-probe once the base is resident.
-var errNoDeltaBase = errors.New("serve: delta snapshot base not resident")
 
 // Quarantine re-probe backoff: after the first failed load the entry is
 // probed again no sooner than quarantineBase later; each consecutive
@@ -48,10 +41,8 @@ const (
 	metricRegistryResident = "serve_registry_resident"
 	metricRegistryBytes    = "serve_registry_loaded_bytes"
 	metricRegistryBudget   = "serve_registry_budget_bytes"
-	metricRegistryQuant    = "serve_registry_quant_bytes"
 
 	metricLoads         = "serve_snapshot_loads_total"
-	metricDeltaLoads    = "serve_snapshot_delta_loads_total"
 	metricLoadFailures  = "serve_snapshot_load_failures_total"
 	metricLoadCanceled  = "serve_snapshot_load_canceled_total"
 	metricEvictions     = "serve_evictions_total"
@@ -97,18 +88,10 @@ type entry struct {
 	state entryState
 	done  chan struct{} // singleflight: closed when a load attempt settles
 
-	snap   *core.Snapshot
 	appIR  *apk.App
 	solver *core.Solver
 	pool   *core.Pool
 	bytes  int64
-	// imgCRC fingerprints the image the live snapshot was loaded from; a
-	// later version registered as a delta image finds its base by matching
-	// this against the delta's recorded base checksum.
-	imgCRC uint32
-	// quantBytes is the quantized-tier share of bytes, tracked separately
-	// so /metrics can expose how much of the budget the tiers consume.
-	quantBytes int64
 
 	refs     int  // in-flight leases
 	retired  bool // hot-swapped out; frees when refs drain
@@ -152,7 +135,6 @@ type Registry struct {
 	total   int64             // resident bytes
 
 	budget      int64
-	quantTotal  int64 // resident quantized-tier bytes (subset of total)
 	poolWorkers int
 	loadOpts    []core.Option
 	inj         *faultinject.Injector
@@ -237,16 +219,14 @@ func (r *Registry) retireLocked(old *entry) {
 // freeLocked drops a resident snapshot's memory and accounting.
 func (r *Registry) freeLocked(e *entry) {
 	r.total -= e.bytes
-	r.quantTotal -= e.quantBytes
-	e.snap, e.appIR, e.solver, e.pool = nil, nil, nil, nil
-	e.bytes, e.quantBytes, e.imgCRC = 0, 0, 0
+	e.appIR, e.solver, e.pool = nil, nil, nil
+	e.bytes = 0
 	e.state = stateCold
 	if e.retired {
 		r.met.Counter(metricRetiredFreed).Add(1)
 		r.note(obs.EventRetireFreed, e.app, e.version, "")
 	}
 	r.met.Gauge(metricRegistryBytes).Set(r.total)
-	r.met.Gauge(metricRegistryQuant).Set(r.quantTotal)
 	r.met.Gauge(metricRegistryResident).Set(int64(r.lru.Len()))
 }
 
@@ -355,10 +335,6 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 		app  *apk.App
 		size int64
 	)
-	var (
-		imgCRC    uint32
-		deltaBase string // base version a delta image was patched against
-	)
 	err := r.inj.Fire(ctx, faultinject.PointSnapshotLoad, key)
 	if err == nil {
 		err = ctx.Err() // the client may have gone away during a slow load
@@ -372,32 +348,10 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 			// The entry's solvers carry its app identity so per-app labeled
 			// pipeline counters land in the shared registry.
 			opts := append(append([]core.Option(nil), r.loadOpts...), core.WithAppLabel(e.app))
-			if di, isDelta := core.DeltaInfo(img); isDelta {
-				// A delta image patches a resident base version in place of
-				// re-shipping every embedding row. No matching base resident
-				// → quarantine like any other failed load; the re-probe
-				// succeeds once the base has been served (or re-registered).
-				base, baseApp, baseVer, ok := r.findDeltaBase(e.app, di.BaseCRC)
-				if !ok {
-					err = fmt.Errorf("%w: no resident base with image crc %08x for app %q",
-						errNoDeltaBase, di.BaseCRC, e.app)
-				} else {
-					snap, app, err = core.LoadSnapshotDeltaBytes(img, base, baseApp, di.BaseCRC, opts...)
-					deltaBase = baseVer
-				}
-			} else {
-				snap, app, err = core.LoadSnapshotBytes(img, opts...)
-			}
-			if err == nil {
-				// An entry's cost is the retained image plus whatever the
-				// quantized scan tiers allocated beyond it (lazily built
-				// tiers for images without quant sections, decoded index
-				// arrays for adopted ones) plus, for delta loads, the rows
-				// materialized from the base — otherwise MaxBytes eviction
-				// would run against an undercount.
-				size = int64(len(img)) + snap.QuantBytes() + snap.MaterializedBytes()
-				imgCRC = snapfile.Checksum(img)
-			}
+			// An entry's cost is the retained image: the loaded snapshot's
+			// float blocks and strings are views into it.
+			snap, app, err = core.LoadSnapshotBytes(img, opts...)
+			size = int64(len(img))
 		}
 	}
 
@@ -430,12 +384,10 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 		e.state = stateCold
 		return nil
 	}
-	e.snap, e.appIR = snap, app
+	e.appIR = app
 	e.solver = core.NewWithSnapshot(snap)
 	e.pool = core.NewPoolWithSnapshot(r.poolWorkers, snap)
 	e.bytes = size
-	e.quantBytes = snap.QuantBytes()
-	e.imgCRC = imgCRC
 	e.loads++
 	if e.failures > 0 {
 		e.failures = 0
@@ -444,35 +396,13 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 	}
 	e.state = stateLive
 	r.total += size
-	r.quantTotal += e.quantBytes
 	r.lruInsertLocked(e)
 	r.evictLocked()
 	r.met.Counter(metricLoads).Add(1)
 	r.note(obs.EventLoad, e.app, e.version, "")
-	if deltaBase != "" {
-		r.met.Counter(metricDeltaLoads).Add(1)
-		r.note(obs.EventDeltaLoad, e.app, e.version, "base "+deltaBase)
-	}
 	r.met.Gauge(metricRegistryBytes).Set(r.total)
-	r.met.Gauge(metricRegistryQuant).Set(r.quantTotal)
 	r.met.Gauge(metricRegistryResident).Set(int64(r.lru.Len()))
 	return nil
-}
-
-// findDeltaBase locates a resident live snapshot of app whose source image
-// checksum matches the one a delta was compiled against. The returned
-// pointers stay valid even if the entry is evicted or retired afterwards —
-// snapshots are immutable and the copies pin them — so the caller may patch
-// against them outside the lock.
-func (r *Registry) findDeltaBase(app string, baseCRC uint32) (*core.Snapshot, *apk.App, string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, e := range r.entries {
-		if e.app == app && e.state == stateLive && e.snap != nil && e.imgCRC == baseCRC {
-			return e.snap, e.appIR, e.version, true
-		}
-	}
-	return nil, nil, "", false
 }
 
 // quarantineBackoff doubles from quarantineBase per consecutive failure,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
@@ -438,39 +439,39 @@ func TestSlowLoadAbandonedGoesColdNotQuarantined(t *testing.T) {
 	}
 }
 
-// TestQuantizedLoadChargesTierBytes: with WithQuantizedScan load options the
-// quantized scan tiers count against the registry's byte budget — an entry
-// must cost strictly more than its retained image, by exactly the snapshot's
-// reported tier bytes.
-func TestQuantizedLoadChargesTierBytes(t *testing.T) {
+// TestVersion1ImageQuarantines: an image written by a format version 1
+// build fails its load with the typed snapfile.ErrVersion and quarantines
+// like any other failed load; registering the recompiled image in its
+// place serves, charged at its image length.
+func TestVersion1ImageQuarantines(t *testing.T) {
 	_, img := sampleImage(t)
-	r := NewRegistry(RegistryConfig{
-		LoadOptions: []core.Option{core.WithQuantizedScan()},
-	})
-	r.RegisterBytes("app.a", "v1", img)
-	l, err := r.Acquire(context.Background(), "app.a", "")
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
+	v1 := append([]byte(nil), img...)
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	met := obs.NewRegistry()
+	r := NewRegistry(RegistryConfig{Metrics: met})
+	r.RegisterBytes("app.old", "v1", v1)
+
+	_, err := r.Acquire(context.Background(), "app.old", "")
+	if !errors.Is(err, ErrSnapshotLoad) || !errors.Is(err, snapfile.ErrVersion) {
+		t.Fatalf("v1 acquire = %v, want ErrSnapshotLoad wrapping snapfile.ErrVersion", err)
 	}
-	defer l.Release()
-	// The tier is deterministic for a given image + options, so an
-	// independent reference load yields the exact byte count the registry
-	// must have charged on top of the retained image.
-	ref, _, err := core.LoadSnapshotBytes(img, core.WithQuantizedScan())
-	if err != nil {
-		t.Fatalf("reference load: %v", err)
-	}
-	qb := ref.QuantBytes()
-	if qb <= 0 {
-		t.Fatal("reference quantized load reports no tier bytes")
-	}
-	want := int64(len(img)) + qb
-	if got := r.ResidentBytes(); got != want {
-		t.Fatalf("ResidentBytes = %d, want image %d + tier %d", got, len(img), qb)
+	if got := met.Counter(metricQuarantined).Value(); got != 1 {
+		t.Fatalf("quarantined_total = %d, want 1", got)
 	}
 	for _, st := range r.Apps() {
-		if st.App == "app.a" && st.Bytes != want {
-			t.Fatalf("entry bytes = %d, want %d", st.Bytes, want)
+		if st.App == "app.old" && st.State != "quarantined" {
+			t.Fatalf("v1 app state = %s, want quarantined", st.State)
 		}
+	}
+
+	r.RegisterBytes("app.old", "v1", img)
+	l, err := r.Acquire(context.Background(), "app.old", "")
+	if err != nil {
+		t.Fatalf("recompiled image: %v", err)
+	}
+	localizeOnce(t, l)
+	l.Release()
+	if got := r.ResidentBytes(); got != int64(len(img)) {
+		t.Fatalf("ResidentBytes = %d, want image length %d", got, len(img))
 	}
 }

@@ -55,11 +55,6 @@ func (e *Enc) Str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// Raw appends bytes verbatim, with no length prefix — the caller's framing
-// must make the length recoverable (quantized code blocks carry it in their
-// header).
-func (e *Enc) Raw(b []byte) { e.buf = append(e.buf, b...) }
-
 // StrSlice appends a uint32 count followed by each string.
 func (e *Enc) StrSlice(ss []string) {
 	e.U32(uint32(len(ss)))
@@ -192,10 +187,6 @@ func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a little-endian IEEE 754 float64.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// Raw reads n verbatim bytes. The result always aliases the payload (raw
-// blocks are the zero-copy case by nature); nil on underflow.
-func (d *Dec) Raw(n int) []byte { return d.take(n, "raw block") }
 
 // Count reads a uint32 element count and bounds it against the remaining
 // payload assuming each element occupies at least minBytesPer bytes. A bogus

@@ -40,8 +40,12 @@ import (
 	"unsafe"
 )
 
-// Version is the current snapshot container format version.
-const Version = 1
+// Version is the current snapshot container format version. Version 2
+// retired two section families core wrote under version 1 (quantized scan
+// tiers and delta images), so every version 1 file — including the ones
+// without those sections — is rejected with ErrVersion and must be
+// recompiled.
+const Version = 2
 
 // flagLittleEndian marks float payloads as little-endian IEEE 754. It is
 // the only layout today; the flag exists so a future big-endian writer is

@@ -96,10 +96,6 @@ type Matrix struct {
 	// norm per row.
 	proj []float64 // rows × K
 	res  []float64 // rows
-
-	// Quantized scan tier (nil until EnsureQuant; see quant.go): integer row
-	// codes with sound error bounds plus the inverted-file cluster index.
-	qt *quantTier
 }
 
 // NewMatrix returns an empty matrix with capacity for capRows rows.
@@ -148,59 +144,6 @@ func (m *Matrix) Finish() {
 		}
 		m.res[r] = math.Sqrt(Dot(resid, resid))
 	}
-}
-
-// FinishReuse builds the prescreen sketch like Finish, copying the
-// already-computed sketch row from src wherever rowMap names a source row
-// (rowMap[r] = src row index, or -1 to compute fresh). A copied sketch row
-// is bitwise identical to what Finish would recompute, because the sketch
-// of a row is a pure function of the row data and the process-global anchor
-// basis — so a matrix finished this way is indistinguishable from one
-// finished from scratch, provided the mapped rows carry identical data.
-// Incremental snapshot rebuilds use this to skip the Gram–Schmidt pass for
-// every row carried over from the previous release.
-func (m *Matrix) FinishReuse(src *Matrix, rowMap []int32) error {
-	if len(rowMap) != m.rows {
-		return fmt.Errorf("wordvec: rowMap of %d entries for %d rows", len(rowMap), m.rows)
-	}
-	basis := anchorBasis()
-	k := len(basis)
-	m.proj = make([]float64, m.rows*k)
-	m.res = make([]float64, m.rows)
-	var resid Vector
-	for r := 0; r < m.rows; {
-		if sr := rowMap[r]; sr >= 0 {
-			if src == nil || src.proj == nil {
-				return fmt.Errorf("wordvec: rowMap reuses row %d but src matrix has no sketch", sr)
-			}
-			if int(sr) >= src.rows {
-				return fmt.Errorf("wordvec: rowMap names src row %d of %d", sr, src.rows)
-			}
-			// Copy the maximal contiguous source run in one memmove per
-			// block — incremental rebuilds map long untouched stretches to
-			// consecutive source rows.
-			n := 1
-			for r+n < m.rows && rowMap[r+n] == sr+int32(n) && int(sr)+n < src.rows {
-				n++
-			}
-			copy(m.proj[r*k:(r+n)*k], src.proj[int(sr)*k:(int(sr)+n)*k])
-			copy(m.res[r:r+n], src.res[int(sr):int(sr)+n])
-			r += n
-			continue
-		}
-		row := m.Row(r)
-		copy(resid[:], row)
-		for bi := range basis {
-			p := dotRow(&basis[bi], row)
-			m.proj[r*k+bi] = p
-			for i := 0; i < Dim; i++ {
-				resid[i] -= p * basis[bi][i]
-			}
-		}
-		m.res[r] = math.Sqrt(Dot(resid, resid))
-		r++
-	}
-	return nil
 }
 
 // Sketch returns the finished prescreen sketch: the rows×BasisSize anchor
@@ -252,17 +195,9 @@ func RowVectors(data []float64) ([]Vector, error) {
 // projections and residual norm, computed once and reused across every
 // candidate row (and across worker chunks).
 type Query struct {
-	Vec   Vector
-	proj  []float64
-	resid Vector // Vec minus its anchor-basis projection (q_⊥)
-	res   float64
-
-	// Quantized form for the integer tier (see quant.go), prepared once so
-	// per-entry scans never re-quantize: int16 codes, dequantization scale,
-	// and the exact quantization error norm ‖Vec − qscale·qi‖.
-	qi     [Dim]int16
-	qscale float64
-	qerr   float64
+	Vec  Vector
+	proj []float64
+	res  float64
 }
 
 // PrepareQuery projects a query vector onto the anchor basis for
@@ -278,9 +213,7 @@ func PrepareQuery(v Vector) Query {
 			resid[i] -= p * basis[bi][i]
 		}
 	}
-	q.resid = resid
 	q.res = math.Sqrt(Dot(resid, resid))
-	q.qscale, q.qerr = quantizeQuery(&q.Vec, &q.qi)
 	return q
 }
 
@@ -296,17 +229,14 @@ func (m *Matrix) bound(q *Query, r int) float64 {
 }
 
 // ScanCount tallies how the prescreen behaved over one scan: Pruned rows
-// were skipped on the float sketch bound alone, IVFPruned rows died with
-// their whole quantized-tier cluster, BoundPruned rows were skipped on the
-// quantized per-row bound, Evaluated rows paid a full float dot product,
-// Matched rows crossed the threshold. Every per-row outcome is a pure
-// function of (model, query, row), so counts are exactly reproducible and
-// chunk-partition invariant — the telemetry layer aggregates them per
+// were skipped on the sketch bound alone, Evaluated rows paid a full dot
+// product, Matched rows crossed the threshold. Every per-row outcome is a
+// pure function of (model, query, row), so counts are exactly reproducible
+// and chunk-partition invariant — the telemetry layer aggregates them per
 // worker chunk and cmd/benchgate gates them to catch kernel regressions
 // without wall-clock noise.
 type ScanCount struct {
 	Pruned, Evaluated, Matched int
-	IVFPruned, BoundPruned     int
 }
 
 // Merge accumulates another chunk's counts.
@@ -314,12 +244,7 @@ func (c *ScanCount) Merge(o ScanCount) {
 	c.Pruned += o.Pruned
 	c.Evaluated += o.Evaluated
 	c.Matched += o.Matched
-	c.IVFPruned += o.IVFPruned
-	c.BoundPruned += o.BoundPruned
 }
-
-// TotalPruned returns the rows skipped by any tier without a full dot.
-func (c ScanCount) TotalPruned() int { return c.Pruned + c.IVFPruned + c.BoundPruned }
 
 // ScanThreshold calls yield(row, dot) in row order for every row in
 // [start, end) whose dot with the query reaches the threshold. With a
@@ -334,9 +259,6 @@ func (m *Matrix) ScanThreshold(q *Query, threshold float64, start, end int, yiel
 // bookkeeping is three register increments alongside the bound test, so
 // the counted scan is the only scan — there is no separate stats pass.
 func (m *Matrix) ScanThresholdCount(q *Query, threshold float64, start, end int, yield func(row int, dot float64)) ScanCount {
-	if m.qt != nil {
-		return m.qt.scanThreshold(m, q, threshold, start, end, yield)
-	}
 	var sc ScanCount
 	cutoff := threshold - prescreenEps
 	for r := start; r < end; r++ {
@@ -364,9 +286,6 @@ func (m *Matrix) AnyAtLeast(q *Query, threshold float64, start, end int) bool {
 // touched: because the scan stops at the first hit, Matched is at most 1
 // and rows after the hit are neither pruned nor evaluated.
 func (m *Matrix) AnyAtLeastCount(q *Query, threshold float64, start, end int) (bool, ScanCount) {
-	if m.qt != nil {
-		return m.qt.anyAtLeast(m, q, threshold, start, end)
-	}
 	var sc ScanCount
 	cutoff := threshold - prescreenEps
 	for r := start; r < end; r++ {

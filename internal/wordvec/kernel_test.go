@@ -123,9 +123,108 @@ func TestPrescreenBoundIsSound(t *testing.T) {
 	}
 }
 
+// nearThresholdRows returns unit rows whose dot with the unit query q sits
+// within ~1e-12 of th: th+k·step for k in −2..2, each appended twice so the
+// scan also meets exact duplicates on the threshold.
+func nearThresholdRows(rng *rand.Rand, q Vector, th, step float64) []Vector {
+	var out []Vector
+	for k := -2; k <= 2; k++ {
+		t := math.Max(-1, math.Min(1, th+float64(k)*step))
+		// u is a random unit direction orthogonal to q, so t·q + √(1−t²)·u
+		// is a unit row with dot(q, row) = t up to rounding.
+		u := randomUnit(rng)
+		p := Dot(u, q)
+		for i := range u {
+			u[i] -= p * q[i]
+		}
+		normalize(&u)
+		s := math.Sqrt(1 - t*t)
+		var row Vector
+		for i := range row {
+			row[i] = t*q[i] + s*u[i]
+		}
+		out = append(out, row, row)
+	}
+	return out
+}
+
+// nearZeroRows returns the zero row plus random directions scaled down to
+// tiny norms, where the prescreen's residual and projection terms all sit
+// near underflow.
+func nearZeroRows(rng *rand.Rand, scale float64) []Vector {
+	out := []Vector{{}}
+	for _, sc := range []float64{scale, 1e-12, 1e-150, 1e-300} {
+		v := randomUnit(rng)
+		for i := range v {
+			v[i] *= sc
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// checkScanMatchesBruteForce asserts that ScanThresholdCount and
+// AnyAtLeastCount over cands agree exactly with a brute-force Dot loop:
+// the same rows in row order with bit-identical dots, counts that cover
+// every row, and chunk-partition invariant totals.
+func checkScanMatchesBruteForce(t *testing.T, cands []Vector, qv Vector, th float64) {
+	t.Helper()
+	mat := NewMatrix(len(cands))
+	for _, v := range cands {
+		mat.Append(v)
+	}
+	mat.Finish()
+	q := PrepareQuery(qv)
+
+	var want []int
+	for r, c := range cands {
+		if Dot(qv, c) >= th {
+			want = append(want, r)
+		}
+	}
+	var got []int
+	sc := mat.ScanThresholdCount(&q, th, 0, mat.Rows(), func(r int, d float64) {
+		if d != Dot(qv, cands[r]) {
+			t.Fatalf("th=%v row %d: yielded dot %v != Dot %v", th, r, d, Dot(qv, cands[r]))
+		}
+		got = append(got, r)
+	})
+	if len(got) != len(want) {
+		t.Fatalf("th=%v: scan found rows %v, brute force %v", th, got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("th=%v: row %d differs (%d vs %d)", th, i, got[i], want[i])
+		}
+	}
+	if sc.Pruned+sc.Evaluated != mat.Rows() || sc.Matched != len(want) {
+		t.Fatalf("th=%v: counts %+v for %d rows, %d brute-force matches", th, sc, mat.Rows(), len(want))
+	}
+	var merged ScanCount
+	mid := mat.Rows() / 2
+	merged.Merge(mat.ScanThresholdCount(&q, th, 0, mid, func(int, float64) {}))
+	merged.Merge(mat.ScanThresholdCount(&q, th, mid, mat.Rows(), func(int, float64) {}))
+	if merged != sc {
+		t.Fatalf("th=%v: chunked counts %+v != whole-scan counts %+v", th, merged, sc)
+	}
+
+	hit, asc := mat.AnyAtLeastCount(&q, th, 0, mat.Rows())
+	if hit != (len(want) > 0) {
+		t.Fatalf("th=%v: AnyAtLeastCount hit=%v, brute force %d matches", th, hit, len(want))
+	}
+	if hit && asc.Pruned+asc.Evaluated != want[0]+1 {
+		t.Fatalf("th=%v: early exit touched %d rows, first match is row %d", th, asc.Pruned+asc.Evaluated, want[0])
+	}
+	if !hit && asc.Pruned+asc.Evaluated != mat.Rows() {
+		t.Fatalf("th=%v: missed scan touched %d of %d rows", th, asc.Pruned+asc.Evaluated, mat.Rows())
+	}
+}
+
 // TestScanThresholdMatchesBruteForce: the prescreened scan must yield
 // exactly the rows a brute-force dot pass finds, for thresholds around the
-// operating point.
+// operating point — over real phrase vectors and random rows, plus the
+// adversarial rows seeded corpora never produce: rows within ~1e-12 of the
+// threshold, exact duplicates, and near-zero rows.
 func TestScanThresholdMatchesBruteForce(t *testing.T) {
 	m := NewModel()
 	rng := rand.New(rand.NewSource(3))
@@ -134,42 +233,52 @@ func TestScanThresholdMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		cands = append(cands, randomUnit(rng))
 	}
-	mat := NewMatrix(len(cands))
-	for _, v := range cands {
-		mat.Append(v)
-	}
-	mat.Finish()
-
 	for _, th := range []float64{0.2, 0.5, DefaultThreshold, 0.9} {
-		for qi, qv := range phraseCorpus(m) {
-			q := PrepareQuery(qv)
-			var want []int
-			for r, c := range cands {
-				if Dot(qv, c) >= th {
-					want = append(want, r)
-				}
-			}
-			var got []int
-			mat.ScanThreshold(&q, th, 0, mat.Rows(), func(r int, d float64) {
-				if d != Dot(qv, cands[r]) {
-					t.Fatalf("query %d row %d: yielded dot %v != Dot %v", qi, r, d, Dot(qv, cands[r]))
-				}
-				got = append(got, r)
-			})
-			if len(got) != len(want) {
-				t.Fatalf("th=%v query %d: scan found %d rows, brute force %d", th, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("th=%v query %d: row %d differs (%d vs %d)", th, qi, i, got[i], want[i])
-				}
-			}
-			// AnyAtLeast agrees with the scan.
-			if mat.AnyAtLeast(&q, th, 0, mat.Rows()) != (len(want) > 0) {
-				t.Fatalf("th=%v query %d: AnyAtLeast disagrees with scan", th, qi)
-			}
+		for _, qv := range phraseCorpus(m) {
+			rows := append([]Vector(nil), cands...)
+			rows = append(rows, nearThresholdRows(rng, qv, th, 1e-12)...)
+			rows = append(rows, nearZeroRows(rng, 1e-6)...)
+			rows = append(rows, cands[:10]...)
+			checkScanMatchesBruteForce(t, rows, qv, th)
 		}
 	}
+}
+
+// FuzzScan drives checkScanMatchesBruteForce with fuzzer-chosen query,
+// threshold, near-threshold spacing, and near-zero scale: whatever the
+// rounding, the prescreened scans must agree exactly with brute force.
+func FuzzScan(f *testing.F) {
+	f.Add(int64(1), DefaultThreshold, 1e-12, 1e-6)
+	f.Add(int64(2), DefaultThreshold, 0.0, 1e-300)
+	f.Add(int64(3), 0.2, 1e-15, 1e-9)
+	f.Add(int64(4), 0.999999, 1e-13, 0.0)
+	f.Add(int64(5), -0.5, 1e-10, 1e-3)
+	m := NewModel()
+	corpus := phraseCorpus(m)
+	f.Fuzz(func(t *testing.T, seed int64, th, step, scale float64) {
+		if math.IsNaN(th) || math.Abs(th) > 1 {
+			th = DefaultThreshold
+		}
+		if math.IsNaN(step) || math.Abs(step) > 1e-6 {
+			step = 1e-12
+		}
+		if math.IsNaN(scale) || math.Abs(scale) > 1e-3 {
+			scale = 1e-6
+		}
+		rng := rand.New(rand.NewSource(seed))
+		qv := corpus[int(uint64(seed)%uint64(len(corpus)))]
+		if seed%3 == 0 {
+			qv = randomUnit(rng)
+		}
+		rows := append([]Vector(nil), corpus...)
+		for i := 0; i < 32; i++ {
+			rows = append(rows, randomUnit(rng))
+		}
+		rows = append(rows, nearThresholdRows(rng, qv, th, step)...)
+		rows = append(rows, nearZeroRows(rng, scale)...)
+		rows = append(rows, rows[len(corpus):len(corpus)+4]...)
+		checkScanMatchesBruteForce(t, rows, qv, th)
+	})
 }
 
 // TestScanCountConsistent: pruned+evaluated covers every row, matched
