@@ -175,6 +175,17 @@ func BenchmarkClassifierPredict(b *testing.B) {
 	}
 }
 
+func BenchmarkBoostedTreesFit(b *testing.B) {
+	docs := synth.TrainingCorpus(1)
+	vec := textclass.NewVectorizer()
+	vec.Fit(docs)
+	xs, ys := vec.TransformAll(docs)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		textclass.NewBoostedTrees().Fit(xs, ys)
+	}
+}
+
 func BenchmarkVectorizerTransform(b *testing.B) {
 	vec, _ := textclass.TrainOn(synth.TrainingCorpus(1),
 		func() textclass.Classifier { return textclass.NewNaiveBayes() })

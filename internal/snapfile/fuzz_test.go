@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -71,8 +72,13 @@ func FuzzOpen(f *testing.F) {
 				}
 			}
 		}
-		if _, ok := r.Section(0xfffffff0); ok {
-			t.Fatal("Section returned ok for an absent id")
+		// A valid image may itself hold any id, so probe one it lacks.
+		absent := uint32(0xfffffff0)
+		for slices.Contains(r.ids, absent) {
+			absent++
+		}
+		if _, ok := r.Section(absent); ok {
+			t.Fatalf("Section returned ok for the absent id %#x", absent)
 		}
 	})
 }

@@ -228,3 +228,34 @@ func TestEmptyTransform(t *testing.T) {
 		t.Errorf("empty text produced %d features", len(x))
 	}
 }
+
+func TestTrainOnFeaturelessCorpus(t *testing.T) {
+	// Punctuation yields no tokens, so every vector is empty and the
+	// feature pool is empty: no node can split, and every tree is a leaf.
+	docs := []Document{
+		{Text: "!!!", Label: true},
+		{Text: "???", Label: true},
+		{Text: "...", Label: false},
+		{Text: ":-)", Label: true},
+		{Text: "--", Label: true},
+	}
+	for _, factory := range []Factory{
+		func() Classifier { return NewBoostedTrees() },
+		func() Classifier { return NewRandomForest() },
+	} {
+		vec, c := TrainOn(docs, factory)
+		var f *forest
+		switch m := c.(type) {
+		case *BoostedTrees:
+			f = &m.forest
+		case *RandomForest:
+			f = &m.forest
+		}
+		if len(f.roots) == 0 || len(f.nodes) != len(f.roots) {
+			t.Errorf("%s: %d nodes in %d trees, want one leaf per tree", c.Name(), len(f.nodes), len(f.roots))
+		}
+		if !c.Predict(vec.Transform("!!!")) {
+			t.Errorf("%s: featureless review not given the majority label", c.Name())
+		}
+	}
+}

@@ -6,27 +6,6 @@ import (
 	"sort"
 )
 
-// treeNode is a binary decision node splitting on feature presence
-// (x[feature] > 0). Leaves hold a value: a class probability for the forest,
-// a regression response for boosting.
-type treeNode struct {
-	feature     int
-	left, right *treeNode
-	value       float64
-	leaf        bool
-}
-
-func (n *treeNode) eval(x FeatureVector) float64 {
-	for !n.leaf {
-		if x[n.feature] > 0 {
-			n = n.right
-		} else {
-			n = n.left
-		}
-	}
-	return n.value
-}
-
 // featurePool lists the distinct features present in a sample set, sorted
 // for determinism.
 func featurePool(xs []FeatureVector, idx []int) []int {
@@ -44,12 +23,155 @@ func featurePool(xs []FeatureVector, idx []int) []int {
 	return out
 }
 
+// columnIndex returns the column index the split searches read: for each
+// feature of pool, a bitset of the rows of xs where that feature is
+// positive. x[f] > 0 is the test a tree routes a vector by, so a feature
+// whose key is present with a value <= 0 (a word in every document has IDF
+// 0) has no row set and always routes left.
+func columnIndex(xs []FeatureVector, pool []int) map[int][]uint64 {
+	words := (len(xs) + 63) / 64
+	backing := make([]uint64, len(pool)*words)
+	cols := make(map[int][]uint64, len(pool))
+	for k, f := range pool {
+		cols[f] = backing[k*words : (k+1)*words : (k+1)*words]
+	}
+	for i, x := range xs {
+		for f, v := range x {
+			if col, ok := cols[f]; ok && v > 0 {
+				col[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	return cols
+}
+
+// --- Compiled forest ----------------------------------------------------------
+
+// node is one node of a forest. Each tree is stored in preorder, so an inner
+// node's left child (split feature absent) is the node right after it.
+type node struct {
+	value   float64 // leaf: the response
+	feature int     // inner node: the split feature
+	slot    int32   // inner node: the feature's bit in a slot set; -1 marks a leaf
+	right   int32   // inner node: index of the child taken when the feature is present
+}
+
+// forest is the one tree representation both ensembles train into and
+// predict from: every tree's nodes in a single array, and each split feature
+// mapped to a dense slot. A prediction sets one bit per present slot of the
+// review and walks every tree by bit tests instead of map probes.
+type forest struct {
+	nodes []node
+	roots []int32       // roots[t]: index of tree t's root in nodes
+	slots map[int]int32 // split feature → slot
+}
+
+// stackSlotWords sizes the slot set a prediction keeps on the stack; larger
+// forests allocate it.
+const stackSlotWords = 64
+
+// add appends a leaf and returns its index; split may turn it into an inner
+// node once its left subtree has been grown.
+func (f *forest) add(value float64) int {
+	f.nodes = append(f.nodes, node{value: value, slot: -1})
+	return len(f.nodes) - 1
+}
+
+// split makes node at an inner node on feature whose right subtree starts
+// at the next node appended.
+func (f *forest) split(at, feature int) {
+	if f.slots == nil {
+		f.slots = make(map[int]int32)
+	}
+	s, ok := f.slots[feature]
+	if !ok {
+		s = int32(len(f.slots))
+		f.slots[feature] = s
+	}
+	f.nodes[at] = node{feature: feature, slot: s, right: int32(len(f.nodes))}
+}
+
+// sum returns start + Σ scale·leaf over the trees in order, each leaf being
+// the one x reaches.
+func (f *forest) sum(x FeatureVector, start, scale float64) float64 {
+	var stack [stackSlotWords]uint64
+	set := stack[:]
+	if words := (len(f.slots) + 63) / 64; words > len(stack) {
+		set = make([]uint64, words)
+	}
+	for feat, v := range x {
+		if v > 0 {
+			if slot, ok := f.slots[feat]; ok {
+				set[slot>>6] |= 1 << (slot & 63)
+			}
+		}
+	}
+	s := start
+	for _, i := range f.roots {
+		n := &f.nodes[i]
+		for n.slot >= 0 {
+			if set[n.slot>>6]>>(n.slot&63)&1 != 0 {
+				i = n.right
+			} else {
+				i++
+			}
+			n = &f.nodes[i]
+		}
+		s += scale * n.value
+	}
+	return s
+}
+
+// subtreeMean averages the two subtrees of every inner node below node i.
+func (f *forest) subtreeMean(i int32) float64 {
+	n := &f.nodes[i]
+	if n.slot < 0 {
+		return n.value
+	}
+	return (f.subtreeMean(i+1) + f.subtreeMean(n.right)) / 2
+}
+
+// grower is the state one ensemble's trees share while they grow.
+type grower struct {
+	forest
+	pool []int      // candidate split features, sorted
+	cols [][]uint64 // cols[k]: the rows where pool[k] is positive
+	rng  *rand.Rand
+	tmp  []int // partition scratch
+}
+
+// usePool makes pool the candidate features, with their columns from index.
+func (g *grower) usePool(pool []int, index map[int][]uint64) {
+	g.pool = pool
+	g.cols = g.cols[:0]
+	for _, f := range pool {
+		g.cols = append(g.cols, index[f])
+	}
+}
+
+// partition reorders idx stably into the rows where col is clear, then
+// those where it is set, and returns the two parts.
+func (g *grower) partition(idx []int, col []uint64) (left, right []int) {
+	set := g.tmp[:0]
+	l := 0
+	for _, i := range idx {
+		if col[i>>6]>>(i&63)&1 != 0 {
+			set = append(set, i)
+		} else {
+			idx[l] = i
+			l++
+		}
+	}
+	copy(idx[l:], set)
+	return idx[:l], idx[l:]
+}
+
 // --- Random forest -----------------------------------------------------------
 
 // RandomForest is a bagged ensemble of Gini-split decision trees over
 // presence features.
 type RandomForest struct {
-	trees    []*treeNode
+	forest   forest
 	numTrees int
 	maxDepth int
 	minLeaf  int
@@ -70,40 +192,46 @@ func (rf *RandomForest) Name() string { return "Random forest" }
 // Fit implements Classifier.
 func (rf *RandomForest) Fit(xs []FeatureVector, ys []bool) {
 	rng := rand.New(rand.NewSource(rf.seed))
-	rf.trees = make([]*treeNode, 0, rf.numTrees)
 	n := len(xs)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	index := columnIndex(xs, featurePool(xs, idx))
+	g := &grower{rng: rng, tmp: make([]int, 0, n)}
 	for t := 0; t < rf.numTrees; t++ {
 		// Bootstrap sample.
-		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = rng.Intn(n)
 		}
-		pool := featurePool(xs, idx)
-		tree := rf.grow(xs, ys, idx, pool, 0, rng)
-		rf.trees = append(rf.trees, tree)
+		g.usePool(featurePool(xs, idx), index)
+		g.roots = append(g.roots, int32(len(g.nodes)))
+		rf.grow(g, ys, idx, 0)
 	}
+	rf.forest = g.forest
 }
 
-func (rf *RandomForest) grow(xs []FeatureVector, ys []bool, idx, pool []int, depth int, rng *rand.Rand) *treeNode {
+func (rf *RandomForest) grow(g *grower, ys []bool, idx []int, depth int) {
 	pos := 0
 	for _, i := range idx {
 		if ys[i] {
 			pos++
 		}
 	}
-	prob := float64(pos) / float64(len(idx))
-	if depth >= rf.maxDepth || len(idx) < 2*rf.minLeaf || pos == 0 || pos == len(idx) {
-		return &treeNode{leaf: true, value: prob}
+	at := g.add(float64(pos) / float64(len(idx)))
+	if depth >= rf.maxDepth || len(idx) < 2*rf.minLeaf || pos == 0 || pos == len(idx) || len(g.pool) == 0 {
+		return
 	}
 	// mtry = sqrt(|pool|) random candidate features.
-	mtry := int(math.Sqrt(float64(len(pool)))) + 1
-	bestFeature, bestGain := -1, 0.0
+	mtry := int(math.Sqrt(float64(len(g.pool)))) + 1
+	best, bestGain := -1, 0.0
 	parentGini := gini(pos, len(idx))
 	for k := 0; k < mtry; k++ {
-		f := pool[rng.Intn(len(pool))]
+		c := g.rng.Intn(len(g.pool))
+		col := g.cols[c]
 		lp, ln, rp, rn := 0, 0, 0, 0
 		for _, i := range idx {
-			if xs[i][f] > 0 {
+			if col[i>>6]>>(i&63)&1 != 0 {
 				rn++
 				if ys[i] {
 					rp++
@@ -119,27 +247,18 @@ func (rf *RandomForest) grow(xs []FeatureVector, ys []bool, idx, pool []int, dep
 			continue
 		}
 		total := float64(ln + rn)
-		g := parentGini - (float64(ln)/total)*gini(lp, ln) - (float64(rn)/total)*gini(rp, rn)
-		if g > bestGain {
-			bestGain, bestFeature = g, f
+		gain := parentGini - (float64(ln)/total)*gini(lp, ln) - (float64(rn)/total)*gini(rp, rn)
+		if gain > bestGain {
+			bestGain, best = gain, c
 		}
 	}
-	if bestFeature < 0 || bestGain < 1e-9 {
-		return &treeNode{leaf: true, value: prob}
+	if best < 0 || bestGain < 1e-9 {
+		return
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if xs[i][bestFeature] > 0 {
-			ri = append(ri, i)
-		} else {
-			li = append(li, i)
-		}
-	}
-	return &treeNode{
-		feature: bestFeature,
-		left:    rf.grow(xs, ys, li, pool, depth+1, rng),
-		right:   rf.grow(xs, ys, ri, pool, depth+1, rng),
-	}
+	left, right := g.partition(idx, g.cols[best])
+	rf.grow(g, ys, left, depth+1)
+	g.split(at, g.pool[best])
+	rf.grow(g, ys, right, depth+1)
 }
 
 func gini(pos, n int) float64 {
@@ -152,11 +271,7 @@ func gini(pos, n int) float64 {
 
 // Predict implements Classifier.
 func (rf *RandomForest) Predict(x FeatureVector) bool {
-	sum := 0.0
-	for _, t := range rf.trees {
-		sum += t.eval(x)
-	}
-	return sum/float64(len(rf.trees)) >= 0.5
+	return rf.forest.sum(x, 0, 1)/float64(len(rf.forest.roots)) >= 0.5
 }
 
 // --- Boosted regression trees -------------------------------------------------
@@ -168,7 +283,7 @@ func (rf *RandomForest) Predict(x FeatureVector) bool {
 // gradient (residual) and re-weights misclassified samples through the
 // residuals, exactly the mechanism described in §3.2.2.
 type BoostedTrees struct {
-	trees     []*treeNode
+	forest    forest
 	shrinkage float64
 	numTrees  int
 	maxDepth  int
@@ -208,39 +323,72 @@ func (bt *BoostedTrees) Fit(xs []FeatureVector, ys []bool) {
 	for i := range idx {
 		idx[i] = i
 	}
-	rng := rand.New(rand.NewSource(bt.seed))
 	pool := featurePool(xs, idx)
+	g := &grower{rng: rand.New(rand.NewSource(bt.seed)), tmp: make([]int, 0, n)}
+	g.usePool(pool, columnIndex(xs, pool))
 	residual := make([]float64, n)
-	bt.trees = make([]*treeNode, 0, bt.numTrees)
+	// leafOf[i] is the leaf sample i reached in the tree just grown: the
+	// leaf the tree routes xs[i] to, by the same presence test.
+	leafOf := make([]float64, n)
 	for t := 0; t < bt.numTrees; t++ {
 		for i := range residual {
 			p := sigmoid(scores[i])
 			residual[i] = y[i] - p
 		}
-		tree := bt.growRegression(xs, residual, idx, pool, 0, rng)
-		bt.trees = append(bt.trees, tree)
+		// Growth partitions idx in place; every tree starts in row order.
+		for i := range idx {
+			idx[i] = i
+		}
+		g.roots = append(g.roots, int32(len(g.nodes)))
+		bt.grow(g, residual, leafOf, idx, 0)
 		for i := range scores {
-			scores[i] += bt.shrinkage * tree.eval(xs[i])
+			scores[i] += bt.shrinkage * leafOf[i]
 		}
 	}
+	bt.forest = g.forest
 }
 
-func (bt *BoostedTrees) growRegression(xs []FeatureVector, r []float64, idx, pool []int, depth int, rng *rand.Rand) *treeNode {
+func (bt *BoostedTrees) grow(g *grower, r, leafOf []float64, idx []int, depth int) {
 	mean := meanOf(r, idx)
-	if depth >= bt.maxDepth || len(idx) < 4 {
-		return &treeNode{leaf: true, value: mean}
+	at := g.add(mean)
+	best := -1
+	if depth < bt.maxDepth && len(idx) >= 4 && len(g.pool) > 0 {
+		best = bt.bestSplit(g, r, idx)
 	}
+	if best < 0 {
+		for _, i := range idx {
+			leafOf[i] = mean
+		}
+		return
+	}
+	left, right := g.partition(idx, g.cols[best])
+	bt.grow(g, r, leafOf, left, depth+1)
+	g.split(at, g.pool[best])
+	bt.grow(g, r, leafOf, right, depth+1)
+}
+
+// bestSplit returns the pool index of the candidate feature whose split
+// explains the most of the residuals at a node, or -1 when none explains
+// enough to split.
+func (bt *BoostedTrees) bestSplit(g *grower, r []float64, idx []int) int {
 	// Sample a subset of candidate features per node.
-	mtry := int(math.Sqrt(float64(len(pool))))*3 + 1
-	bestFeature := -1
+	mtry := int(math.Sqrt(float64(len(g.pool))))*3 + 1
+	best := -1
 	bestScore := variance(r, idx) * float64(len(idx))
 	parentScore := bestScore
+	// SSE after split = Σr² - (Σ_l)²/n_l - (Σ_r)²/n_r ; Σr² is common to
+	// every candidate, so maximize the explained part.
+	var sq float64
+	for _, i := range idx {
+		sq += r[i] * r[i]
+	}
 	for k := 0; k < mtry; k++ {
-		f := pool[rng.Intn(len(pool))]
+		c := g.rng.Intn(len(g.pool))
+		col := g.cols[c]
 		var ls, rs float64
 		var lc, rc int
 		for _, i := range idx {
-			if xs[i][f] > 0 {
+			if col[i>>6]>>(i&63)&1 != 0 {
 				rs += r[i]
 				rc++
 			} else {
@@ -251,42 +399,20 @@ func (bt *BoostedTrees) growRegression(xs []FeatureVector, r []float64, idx, poo
 		if lc < 2 || rc < 2 {
 			continue
 		}
-		// SSE after split = Σr² - (Σ_l)²/n_l - (Σ_r)²/n_r ; Σr² is common,
-		// so maximize the explained part.
-		var sq float64
-		for _, i := range idx {
-			sq += r[i] * r[i]
-		}
 		sse := sq - ls*ls/float64(lc) - rs*rs/float64(rc)
 		if sse < bestScore-1e-12 {
-			bestScore, bestFeature = sse, f
+			bestScore, best = sse, c
 		}
 	}
-	if bestFeature < 0 || parentScore-bestScore < 1e-9 {
-		return &treeNode{leaf: true, value: mean}
+	if best < 0 || parentScore-bestScore < 1e-9 {
+		return -1
 	}
-	var li, ri []int
-	for _, i := range idx {
-		if xs[i][bestFeature] > 0 {
-			ri = append(ri, i)
-		} else {
-			li = append(li, i)
-		}
-	}
-	return &treeNode{
-		feature: bestFeature,
-		left:    bt.growRegression(xs, r, li, pool, depth+1, rng),
-		right:   bt.growRegression(xs, r, ri, pool, depth+1, rng),
-	}
+	return best
 }
 
 // Predict implements Classifier.
 func (bt *BoostedTrees) Predict(x FeatureVector) bool {
-	score := bt.bias
-	for _, t := range bt.trees {
-		score += bt.shrinkage * t.eval(x)
-	}
-	return sigmoid(score) >= 0.5
+	return sigmoid(bt.forest.sum(x, bt.bias, bt.shrinkage)) >= 0.5
 }
 
 // FeatureImportances returns the gradient-boosting importance of each
@@ -296,49 +422,26 @@ func (bt *BoostedTrees) Predict(x FeatureVector) bool {
 // classifier learned (e.g. that "crash" and "cannot" dominate).
 func (bt *BoostedTrees) FeatureImportances() map[int]float64 {
 	out := make(map[int]float64)
-	var walk func(n *treeNode)
-	walk = func(n *treeNode) {
-		if n == nil || n.leaf {
-			return
+	f := &bt.forest
+	// Nodes are in preorder tree by tree, the order a recursive walk of
+	// the ensemble visits its splits.
+	for i, n := range f.nodes {
+		if n.slot < 0 {
+			continue
 		}
-		out[n.feature] += childDelta(n)
-		walk(n.left)
-		walk(n.right)
-	}
-	for _, tr := range bt.trees {
-		walk(tr)
+		d := f.subtreeMean(int32(i)+1) - f.subtreeMean(n.right)
+		if d < 0 {
+			d = -d
+		}
+		out[n.feature] += d
 	}
 	return out
-}
-
-// childDelta measures how far a split separates its children's responses.
-func childDelta(n *treeNode) float64 {
-	l, r := subtreeMean(n.left), subtreeMean(n.right)
-	d := l - r
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
-func subtreeMean(n *treeNode) float64 {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return n.value
-	}
-	return (subtreeMean(n.left) + subtreeMean(n.right)) / 2
 }
 
 // Score returns the positive-class probability; the review pipeline uses it
 // for ranking ambiguous reviews.
 func (bt *BoostedTrees) Score(x FeatureVector) float64 {
-	score := bt.bias
-	for _, t := range bt.trees {
-		score += bt.shrinkage * t.eval(x)
-	}
-	return sigmoid(score)
+	return sigmoid(bt.forest.sum(x, bt.bias, bt.shrinkage))
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
