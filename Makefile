@@ -35,7 +35,7 @@ perfbench-check:
 	$(GO) -C cmd/perfbench test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 
 benchgate:
 	$(GO) run ./cmd/benchgate -dir $(BENCHDIR) -tol $(TOL)
@@ -44,11 +44,12 @@ update-baselines:
 	$(GO) run ./cmd/benchgate -dir $(BENCHDIR) -tol $(TOL) -update
 
 # Kernel benchmark smoke: one iteration of the similarity-kernel micro
-# benchmarks, end-to-end localization, corpus throughput and the review
-# classifier's training and prediction. Fast enough for CI; catches "kernel
-# path silently disabled" and compile rot in the benchmarks.
+# benchmarks, end-to-end localization, corpus throughput, the review
+# classifier's training and prediction, and the General Task Q&A lookup.
+# Fast enough for CI; catches "kernel path silently disabled" and compile
+# rot in the benchmarks.
 bench:
-	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit' -benchtime 1x .
+	$(GO) test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit|QATopAPIs' -benchtime 1x .
 
 bench-all:
 	$(GO) test -run xxx -bench . -benchtime 1x .
@@ -78,16 +79,18 @@ fleetobs-smoke:
 # Short fuzz runs over the hostile-input surfaces — the snapshot container
 # decoder, the full snapshot loader, and the event journal codec, which must
 # return typed errors, never panic — over the prescreened scan, which must
-# yield exactly what a brute-force dot loop yields, and over the review
+# yield exactly what a brute-force dot loop yields, over the review
 # classifier, whose compiled forest must score arbitrary text exactly as the
-# reference pointer-tree walk does. (The committed seed corpora live under
-# */testdata/fuzz/.)
+# reference pointer-tree walk does, and over the General Task lookup, whose
+# posting index must rank arbitrary phrases exactly as the linear Q&A scan
+# does. (The committed seed corpora live under */testdata/fuzz/.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
 	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzClassify -fuzztime 5s ./internal/textclass
+	$(GO) test -run '^$$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
 
 # Compile (and verify) the snapshot of one built-in app. Override with e.g.
 #   make snapshot SNAPAPP=org.wordpress.android SNAPOUT=wp.snap

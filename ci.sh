@@ -1,8 +1,9 @@
 #!/bin/sh
 # Offline CI gate for ReviewSolver: formatting, vet, build, tests, the
-# perfbench module's vet and tests, the race gate over shared snapshots and
-# the shared classifier, and the benchgate metric-drift check. No step
-# touches the network (GOPROXY=off enforces it); any failure exits non-zero.
+# perfbench module's vet and tests, the race gate over shared snapshots, the
+# shared classifier and the shared Q&A index, and the benchgate metric-drift
+# check. No step touches the network (GOPROXY=off enforces it); any failure
+# exits non-zero.
 set -eu
 cd "$(dirname "$0")"
 
@@ -38,15 +39,16 @@ step "perfbench module (go vet + go test against this tree)"
 go -C cmd/perfbench vet ./...
 go -C cmd/perfbench test ./...
 
-step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/..."
-go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/...
+step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/..."
+go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 
-step "fuzz smoke (snapfile decode + snapshot load + event journal codec: typed errors, no panics; prescreened scan == brute force; compiled forest == reference tree walk)"
+step "fuzz smoke (snapfile decode + snapshot load + event journal codec: typed errors, no panics; prescreened scan == brute force; compiled forest == reference tree walk; Q&A posting index == linear scan)"
 go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
 go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
 go test -run '^$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
 go test -run '^$' -fuzz FuzzClassify -fuzztime 5s ./internal/textclass
+go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
 
 # One temp dir holds the compiled snapshot artifact shared by the
 # determinism, benchgate and smoke steps below; removed on any exit.
@@ -81,8 +83,8 @@ go run ./cmd/obssmoke
 step "serve smoke (reviewd daemon: registry, concurrent traffic, injected fault, byte-exact responses)"
 go run ./cmd/servesmoke
 
-step "bench smoke (kernel and classifier benchmarks, 1 iteration)"
-go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit' -benchtime 1x .
+step "bench smoke (kernel, classifier and Q&A lookup benchmarks, 1 iteration)"
+go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit|QATopAPIs' -benchtime 1x .
 
 echo ""
 echo "CI PASS"

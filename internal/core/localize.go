@@ -786,9 +786,6 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 // localizeGeneralTask looks the verb phrase up in the Q&A index, takes the
 // top-k framework APIs, and recommends the classes calling them.
 func (s *Solver) localizeGeneralTask(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	if s.qaIndex == nil {
-		return nil
-	}
 	var out []Mapping
 	simHist := s.simHist()
 	query := func(phraseText string, words []string) {

@@ -223,11 +223,6 @@ func WithAppLabel(app string) Option {
 	return func(s *Solver) { s.appLabel = app }
 }
 
-// WithQAIndex installs the general-task Q&A index (§4.2.2).
-func WithQAIndex(idx *qa.Index) Option {
-	return func(s *Solver) { s.qaIndex = idx }
-}
-
 // WithSentimentAnalyzer overrides the sentence sentiment analyzer
 // (SentiStrength by default, per Table 4).
 func WithSentimentAnalyzer(a sentiment.Analyzer) Option {

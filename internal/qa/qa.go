@@ -11,6 +11,7 @@
 package qa
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -42,7 +43,12 @@ func (r APIRef) Key() string { return r.Class + "." + r.Method }
 // receiver variables to classes, and resolves short class names against the
 // SDK catalog.
 func ParseSnippet(snippet string, catalog *sdk.Catalog) []APIRef {
-	shortToFull := shortClassIndex(catalog)
+	return parseSnippet(snippet, catalog, shortClassIndex(catalog))
+}
+
+// parseSnippet is ParseSnippet with the catalog's short-class map built by
+// the caller, so NewIndex builds it once for the whole corpus.
+func parseSnippet(snippet string, catalog *sdk.Catalog, shortToFull map[string]string) []APIRef {
 	varType := make(map[string]string)
 	var out []APIRef
 	seen := make(map[string]struct{})
@@ -171,116 +177,161 @@ func isIdentChar(c byte) bool {
 
 func isUpperStart(s string) bool { return s != "" && s[0] >= 'A' && s[0] <= 'Z' }
 
-// Index is the Algorithm 2 lookup structure: question titles with their
-// extracted framework APIs.
+// Index is the Algorithm 2 lookup structure: an inverted index over the
+// questions whose snippets call at least one framework API. Each title-word
+// stem maps to the ascending IDs of the questions whose titles hold a word
+// with that stem (its posting list), and each question lists its APIs as
+// dense IDs into one table sorted by APIRef.Key. The index is read-only
+// after NewIndex, so one Index serves concurrent lookups.
 type Index struct {
-	catalog   *sdk.Catalog
-	questions []indexedQuestion
-}
-
-type indexedQuestion struct {
-	titleWords map[string]struct{}
-	apis       []APIRef
+	postings map[string][]int32
+	// apis is every extracted API in key order, so ID order is key order.
+	apis []APIRef
+	// Question q calls the APIs apiIDs[apiStart[q]:apiStart[q+1]].
+	apiIDs   []int32
+	apiStart []int32
 }
 
 // NewIndex parses every question's snippets and builds the index.
 func NewIndex(catalog *sdk.Catalog, questions []Question) *Index {
-	idx := &Index{catalog: catalog}
+	shortToFull := shortClassIndex(catalog)
+	var titles [][]string
+	var refs [][]APIRef
+	ids := make(map[string]int32) // API key → ID, set once x.apis is sorted
+	x := &Index{postings: make(map[string][]int32)}
 	for _, q := range questions {
-		iq := indexedQuestion{titleWords: make(map[string]struct{})}
-		for _, w := range textproc.Words(q.Title) {
-			iq.titleWords[w] = struct{}{}
-		}
+		var qrefs []APIRef
 		seen := make(map[string]struct{})
 		for _, sn := range q.Snippets {
-			for _, ref := range ParseSnippet(sn, catalog) {
+			for _, ref := range parseSnippet(sn, catalog, shortToFull) {
 				if _, dup := seen[ref.Key()]; dup {
 					continue
 				}
 				seen[ref.Key()] = struct{}{}
-				iq.apis = append(iq.apis, ref)
+				qrefs = append(qrefs, ref)
+				if _, known := ids[ref.Key()]; !known {
+					ids[ref.Key()] = 0
+					x.apis = append(x.apis, ref)
+				}
 			}
 		}
-		if len(iq.apis) > 0 {
-			idx.questions = append(idx.questions, iq)
+		if len(qrefs) > 0 {
+			titles = append(titles, textproc.Words(q.Title))
+			refs = append(refs, qrefs)
 		}
 	}
-	return idx
+	sort.Slice(x.apis, func(i, j int) bool { return x.apis[i].Key() < x.apis[j].Key() })
+	for id, ref := range x.apis {
+		ids[ref.Key()] = int32(id)
+	}
+	x.apiStart = make([]int32, 1, len(refs)+1)
+	for q, qrefs := range refs {
+		for _, w := range titles[q] {
+			s := stem(w)
+			if list := x.postings[s]; len(list) == 0 || list[len(list)-1] != int32(q) {
+				x.postings[s] = append(list, int32(q))
+			}
+		}
+		for _, ref := range qrefs {
+			x.apiIDs = append(x.apiIDs, ids[ref.Key()])
+		}
+		x.apiStart = append(x.apiStart, int32(len(x.apiIDs)))
+	}
+	return x
 }
 
 // Len returns the number of indexed questions.
-func (x *Index) Len() int { return len(x.questions) }
+func (x *Index) Len() int { return len(x.apiStart) - 1 }
 
 // TopAPIs implements Algorithm 2: find the questions whose titles contain
 // the verb phrase's words, count the framework APIs in their snippets, and
-// return the k most frequent APIs (the paper sets k = 5).
+// return the k most frequent APIs (the paper sets k = 5), ties in key order.
+//
+// A title contains the phrase when every non-stopword phrase word shares
+// its stem with some title word (§4.2.2: "identify the questions whose
+// titles contain the same verb phrase"; shared stems tolerate inflection).
+// The matching questions are therefore the intersection of the phrase
+// stems' posting lists, and a phrase of stopwords alone matches them all.
 func (x *Index) TopAPIs(verbPhrase []string, k int) []APIRef {
 	if len(verbPhrase) == 0 || k <= 0 {
 		return nil
 	}
-	counts := make(map[string]int)
-	byKey := make(map[string]APIRef)
-	for _, q := range x.questions {
-		if !titleContains(q.titleWords, verbPhrase) {
+	var buf [8][]int32
+	lists := buf[:0]
+	for _, w := range verbPhrase {
+		if textproc.IsStopword(w) {
 			continue
 		}
-		for _, ref := range q.apis {
-			counts[ref.Key()]++
-			byKey[ref.Key()] = ref
+		list, ok := x.postings[stem(w)]
+		if !ok {
+			return nil
+		}
+		lists = append(lists, list)
+	}
+	counts := make([]int32, len(x.apis))
+	var touched []int32 // API IDs with a non-zero count
+	countAPIs := func(q int32) {
+		for _, id := range x.apiIDs[x.apiStart[q]:x.apiStart[q+1]] {
+			if counts[id] == 0 {
+				touched = append(touched, id)
+			}
+			counts[id]++
 		}
 	}
-	if len(counts) == 0 {
+	if len(lists) == 0 {
+		for q := range int32(x.Len()) {
+			countAPIs(q)
+		}
+	} else {
+		for _, q := range intersect(lists) {
+			countAPIs(q)
+		}
+	}
+	if len(touched) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(counts))
-	for key := range counts {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
+	slices.SortFunc(touched, func(a, b int32) int {
+		if counts[a] != counts[b] {
+			return int(counts[b] - counts[a])
 		}
-		return keys[i] < keys[j]
+		return int(a - b)
 	})
-	if k > len(keys) {
-		k = len(keys)
-	}
-	out := make([]APIRef, k)
-	for i := 0; i < k; i++ {
-		out[i] = byKey[keys[i]]
+	out := make([]APIRef, min(k, len(touched)))
+	for i := range out {
+		out[i] = x.apis[touched[i]]
 	}
 	return out
 }
 
-// titleContains reports whether every content word of the phrase appears in
-// the title (§4.2.2: "identify the questions whose titles contain the same
-// verb phrase"). Inflection differences are tolerated via shared stems.
-func titleContains(title map[string]struct{}, phrase []string) bool {
-	for _, w := range phrase {
-		if textproc.IsStopword(w) {
-			continue
-		}
-		if _, ok := title[w]; ok {
-			continue
-		}
-		matched := false
-		for tw := range title {
-			if sameStem(tw, w) {
-				matched = true
-				break
+// intersect returns the IDs present in every ascending list, ascending. It
+// walks the shortest list and binary-searches the others, each from where
+// its previous probe stopped. It reorders lists but not their contents.
+func intersect(lists [][]int32) []int32 {
+	slices.SortFunc(lists, func(a, b []int32) int { return len(a) - len(b) })
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	out := make([]int32, 0, len(lists[0]))
+next:
+	for _, q := range lists[0] {
+		for i := 1; i < len(lists); i++ {
+			j, found := slices.BinarySearch(lists[i], q)
+			lists[i] = lists[i][j:]
+			if !found {
+				if len(lists[i]) == 0 {
+					break next
+				}
+				continue next
 			}
 		}
-		if !matched {
-			return false
-		}
+		out = append(out, q)
 	}
-	return true
+	return out
 }
 
-func sameStem(a, b string) bool {
-	return stem(a) == stem(b)
-}
-
+// stem strips one inflectional suffix (-ing, -ed, -es, -s) and a doubled
+// final consonant, so "downloading", "downloaded" and "downloads" share
+// "download"'s stem.
 func stem(w string) string {
 	switch {
 	case strings.HasSuffix(w, "ing") && len(w) > 5:
