@@ -1,90 +1,108 @@
 #!/bin/sh
-# Offline CI gate for ReviewSolver: formatting, vet, build, tests, the
-# perfbench module's vet and tests, the race gate over shared snapshots, the
-# shared classifier and the shared Q&A index, and the benchgate metric-drift
-# check. No step touches the network (GOPROXY=off enforces it); any failure
-# exits non-zero.
+# Offline CI gate for ReviewSolver and the only file that holds its steps'
+# commands. `./ci.sh` (or `make ci`) runs every step in order;
+# `./ci.sh <step>...` runs the named steps only. No step touches the
+# network (GOPROXY=off enforces it); any failure exits non-zero.
 set -eu
 cd "$(dirname "$0")"
 
 export GOPROXY=off
 export GOFLAGS=-mod=mod
 
-step() {
-	echo ""
-	echo "== $* =="
-}
+ALL_STEPS="fmt vet build test perfbench-check race fuzz-smoke snapshot-smoke benchgate fleetobs-smoke bench"
 
-step gofmt
-out="$(gofmt -l .)"
-if [ -n "$out" ]; then
-	echo "gofmt needed on:"
-	echo "$out"
-	exit 1
-fi
-
-step "go vet"
-go vet ./...
-
-step "go build"
-go build ./...
-
-step "go test"
-go test ./...
-
-# cmd/perfbench is its own module, so the root ./... above never compiles
-# it; an API change it depends on would otherwise surface only when the
-# benchmark runs.
-step "perfbench module (go vet + go test against this tree)"
-go -C cmd/perfbench vet ./...
-go -C cmd/perfbench test ./...
-
-step "go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/..."
-go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
-
-step "fuzz smoke (snapfile decode + snapshot load + event journal codec: typed errors, no panics; prescreened scan == brute force; compiled forest == reference tree walk; Q&A posting index == linear scan)"
-go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
-go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
-go test -run '^$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
-go test -run '^$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
-go test -run '^$' -fuzz FuzzClassify -fuzztime 5s ./internal/textclass
-go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
-
-# One temp dir holds the compiled snapshot artifact shared by the
-# determinism, benchgate and smoke steps below; removed on any exit.
-SNAPDIR="$(mktemp -d)"
-trap 'rm -rf "$SNAPDIR"' EXIT
+# One temp dir holds the build outputs and artifacts of the snapshot and
+# fleetobs steps; removed on any exit.
+WORKDIR="$(mktemp -d)"
+trap 'rm -rf "$WORKDIR"' EXIT
 SNAPAPP="${SNAPAPP:-com.fsck.k9}"
 
-step "snapshot determinism (snapshotc compiles the same app to identical bytes)"
-go build -o "$SNAPDIR/snapshotc" ./cmd/snapshotc
-"$SNAPDIR/snapshotc" -app "$SNAPAPP" -o "$SNAPDIR/app.snap" -verify -q
-"$SNAPDIR/snapshotc" -app "$SNAPAPP" -o "$SNAPDIR/again.snap" -q
-cmp "$SNAPDIR/app.snap" "$SNAPDIR/again.snap"
+run_step() {
+	case "$1" in
+	fmt)
+		out="$(gofmt -l .)"
+		if [ -n "$out" ]; then
+			echo "gofmt needed on:"
+			echo "$out"
+			exit 1
+		fi
+		;;
+	vet) go vet ./... ;;
+	build) go build ./... ;;
+	test) go test ./... ;;
+	perfbench-check)
+		# cmd/perfbench is its own module, so the root ./... never compiles
+		# it; an API change it depends on would otherwise surface only when
+		# the benchmark runs.
+		go -C cmd/perfbench vet ./...
+		go -C cmd/perfbench test ./...
+		;;
+	race)
+		# The packages whose values are shared across goroutines: snapshots,
+		# the trained classifier, the Q&A index, the telemetry registry and
+		# the serving daemon (its chaos suite and TestServeSmoke).
+		go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
+		;;
+	fuzz-smoke)
+		# The decoders (snapshot container, snapshot load, event journal)
+		# return typed errors and never panic; the prescreened scan yields
+		# exactly what a brute-force dot loop yields; the compiled forest
+		# scores arbitrary text exactly as the reference tree walk does; the
+		# Q&A posting index ranks arbitrary phrases exactly as the linear
+		# scan does. Seed corpora live under */testdata/fuzz/.
+		go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
+		go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
+		go test -run '^$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
+		go test -run '^$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
+		go test -run '^$' -fuzz FuzzClassify -fuzztime 5s ./internal/textclass
+		go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
+		;;
+	snapshot-smoke)
+		# snapshotc compiles the same app to identical bytes, and
+		# localization served from the .snap matches the direct build.
+		go build -o "$WORKDIR/snapshotc" ./cmd/snapshotc
+		"$WORKDIR/snapshotc" -app "$SNAPAPP" -o "$WORKDIR/app.snap" -verify -q
+		"$WORKDIR/snapshotc" -app "$SNAPAPP" -o "$WORKDIR/again.snap" -q
+		cmp "$WORKDIR/app.snap" "$WORKDIR/again.snap"
+		go build -o "$WORKDIR/reviewsolver" ./cmd/reviewsolver
+		"$WORKDIR/reviewsolver" -app "$SNAPAPP" -review "cannot fetch mail" >"$WORKDIR/direct.out"
+		"$WORKDIR/reviewsolver" -snapshot "$WORKDIR/app.snap" -review "cannot fetch mail" >"$WORKDIR/loaded.out"
+		diff "$WORKDIR/direct.out" "$WORKDIR/loaded.out"
+		;;
+	benchgate)
+		# Paper tables, kernel scans, telemetry totals, front-end allocs,
+		# the snapshot image and the exact fleetobs gate.
+		go run ./cmd/benchgate -dir "${BENCHDIR:-bench}" -tol "${TOL:-0.02}"
+		;;
+	fleetobs-smoke)
+		# The reviewd -fleetstat artifact is byte-identical across runs.
+		go build -o "$WORKDIR/reviewd" ./cmd/reviewd
+		"$WORKDIR/reviewd" -fleetstat "$WORKDIR/fleetstat-a.json" -q
+		"$WORKDIR/reviewd" -fleetstat "$WORKDIR/fleetstat-b.json" -q
+		cmp "$WORKDIR/fleetstat-a.json" "$WORKDIR/fleetstat-b.json"
+		;;
+	bench)
+		# One iteration of the kernel, end-to-end localization, corpus
+		# throughput, classifier and Q&A lookup benchmarks: catches a
+		# silently disabled fast path and compile rot in the benchmarks.
+		go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit|QATopAPIs' -benchtime 1x .
+		;;
+	*)
+		echo "ci.sh: unknown step $1 (steps: $ALL_STEPS)" >&2
+		exit 2
+		;;
+	esac
+}
 
-step "benchgate (tier-1 table metric drift + kernel scan stats + telemetry totals + front-end allocs + snapshot gate + exact fleetobs gate)"
-go run ./cmd/benchgate -dir "${BENCHDIR:-bench}" -tol "${TOL:-0.02}"
-
-step "fleetobs smoke (reviewd -fleetstat artifact is byte-identical across runs)"
-go build -o "$SNAPDIR/reviewd" ./cmd/reviewd
-"$SNAPDIR/reviewd" -fleetstat "$SNAPDIR/fleetstat.json" -q
-"$SNAPDIR/reviewd" -fleetstat "$SNAPDIR/fleetstat2.json" -q
-cmp "$SNAPDIR/fleetstat.json" "$SNAPDIR/fleetstat2.json"
-
-step "snapshot smoke (localization served from the .snap matches the direct build)"
-go build -o "$SNAPDIR/reviewsolver" ./cmd/reviewsolver
-"$SNAPDIR/reviewsolver" -app "$SNAPAPP" -review "cannot fetch mail" >"$SNAPDIR/direct.out"
-"$SNAPDIR/reviewsolver" -snapshot "$SNAPDIR/app.snap" -review "cannot fetch mail" >"$SNAPDIR/loaded.out"
-diff "$SNAPDIR/direct.out" "$SNAPDIR/loaded.out"
-
-step "obs smoke (explain-trace schema, determinism, debug endpoints)"
-go run ./cmd/obssmoke
-
-step "serve smoke (reviewd daemon: registry, concurrent traffic, injected fault, byte-exact responses)"
-go run ./cmd/servesmoke
-
-step "bench smoke (kernel, classifier and Q&A lookup benchmarks, 1 iteration)"
-go test -run xxx -bench 'CosineVsDot|MatrixScan|LocalizeReview|CorpusThroughput|ClassifierPredict|BoostedTreesFit|QATopAPIs' -benchtime 1x .
+if [ $# -eq 0 ]; then
+	# shellcheck disable=SC2086 # word-split the step list
+	set -- $ALL_STEPS
+fi
+for s in "$@"; do
+	echo ""
+	echo "== $s =="
+	run_step "$s"
+done
 
 echo ""
-echo "CI PASS"
+echo "CI PASS ($*)"

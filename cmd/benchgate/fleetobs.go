@@ -6,19 +6,18 @@ import (
 	"reviewsolver/internal/serve"
 )
 
-// fleetobsSnapshot runs the deterministic fleet-observability scenario
+// fleetobsMetrics runs the deterministic fleet-observability scenario
 // (internal/serve/fleetsim.go) and flattens everything it pins into one
 // metric map: the deterministic subset of the registry snapshot (labeled
 // request counters, journal-drained event counters, registry gauges,
 // pipeline counters — latency histograms reduced to their counts), the
 // journal event sequence, the per-app SLO/error-budget arithmetic, and the
-// digest artifact's exact byte length. Unlike the drift-tolerant table
-// gates, this snapshot is compared exactly (zero tolerance): every value is
-// a count or a budget, and the scenario is byte-deterministic by contract.
-func fleetobsSnapshot(seed int64) (snapshotFile, error) {
+// digest artifact's exact byte length. Its gate is exact: every value is a
+// count or a budget, and the scenario is byte-deterministic by contract.
+func fleetobsMetrics() (map[string]float64, error) {
 	res, err := serve.RunFleetSim(seed, 2)
 	if err != nil {
-		return snapshotFile{}, fmt.Errorf("fleetobs: %w", err)
+		return nil, err
 	}
 
 	m := res.DeterministicMetrics()
@@ -49,13 +48,7 @@ func fleetobsSnapshot(seed int64) (snapshotFile, error) {
 	// (field order, indentation, float formatting) without storing it.
 	m["digest|bytes"] = float64(len(res.DigestJSON))
 	m["traces|stored"] = float64(res.TracesStored)
-
-	return snapshotFile{
-		ID:      "fleetobs",
-		Title:   "Fleet observability: labeled metrics, journal, SLO budgets",
-		Seed:    seed,
-		Metrics: m,
-	}, nil
+	return m, nil
 }
 
 func boolMetric(b bool) float64 {

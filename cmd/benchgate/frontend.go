@@ -19,7 +19,7 @@ import (
 // cache key or the interner regressed.
 const frontendHitRateFloor = 0.30
 
-// frontendSnapshot builds the BENCH_FRONTEND.json snapshot: exact
+// frontendMetrics collects the BENCH_FRONTEND.json metrics: exact
 // steady-state allocation counts for the three front-end entry points
 // (analyze, classify, localize) plus the corpus-level cache effectiveness
 // counters. Allocation counts are measured with the collector disabled on a
@@ -27,7 +27,7 @@ const frontendHitRateFloor = 0.30
 // drift is a real allocation regression, not noise. The hit-rate floor is
 // enforced here (an error, not a drift), because a cold cache would still
 // "match" a stale baseline taken before the regression.
-func frontendSnapshot(seed int64) (snapshotFile, error) {
+func frontendMetrics() (map[string]float64, error) {
 	data := synth.GenerateSample(seed)
 	app := data.App
 
@@ -71,27 +71,21 @@ func frontendSnapshot(seed int64) (snapshotFile, error) {
 	hits := snap["analysis_cache_hits_total"]
 	misses := snap["analysis_cache_misses_total"]
 	if hits+misses == 0 {
-		return snapshotFile{}, fmt.Errorf("front-end gate: sentence cache was never consulted")
+		return nil, fmt.Errorf("sentence cache was never consulted")
 	}
 	rate := hits / (hits + misses)
 	if rate < frontendHitRateFloor {
-		return snapshotFile{}, fmt.Errorf("front-end gate: analysis cache hit rate %.3f below floor %.2f",
+		return nil, fmt.Errorf("analysis cache hit rate %.3f below floor %.2f",
 			rate, frontendHitRateFloor)
 	}
 
-	return snapshotFile{
-		Table: 0,
-		ID:    "frontend",
-		Title: "Front-end allocation and cache-effectiveness gate",
-		Seed:  seed,
-		Metrics: map[string]float64{
-			"analyze_allocs_per_op":       analyzeAllocs,
-			"classify_allocs_per_op":      classifyAllocs,
-			"localize_allocs_per_op":      localizeAllocs,
-			"analysis_cache_hits_total":   hits,
-			"analysis_cache_misses_total": misses,
-			"analysis_cache_hit_rate":     rate,
-			"interner_size":               snap["interner_size"],
-		},
+	return map[string]float64{
+		"analyze_allocs_per_op":       analyzeAllocs,
+		"classify_allocs_per_op":      classifyAllocs,
+		"localize_allocs_per_op":      localizeAllocs,
+		"analysis_cache_hits_total":   hits,
+		"analysis_cache_misses_total": misses,
+		"analysis_cache_hit_rate":     rate,
+		"interner_size":               snap["interner_size"],
 	}, nil
 }

@@ -21,13 +21,13 @@ var kernelProbes = []string{
 	"open settings",
 }
 
-// kernelSnapshot builds the BENCH_KERNEL.json snapshot: deterministic scan
+// kernelMetrics collects the BENCH_KERNEL.json metrics: deterministic scan
 // statistics plus the full-pipeline mapping count over a fixed review
 // sample. Unlike wall-clock benchmarks these numbers are exactly
 // reproducible, so the gate catches kernel regressions without timing
 // noise. (Exactness against a brute-force cosine matcher is
 // property-tested in internal/core.)
-func kernelSnapshot(seed int64) snapshotFile {
+func kernelMetrics() (map[string]float64, error) {
 	data := synth.GenerateSample(seed)
 	app := data.App
 	release := app.Releases[len(app.Releases)-1]
@@ -61,12 +61,5 @@ func kernelSnapshot(seed int64) snapshotFile {
 		mappings += len(s.LocalizeReview(app, rv.Text, rv.PublishedAt).Mappings)
 	}
 	m["pipeline|mappings"] = float64(mappings)
-
-	return snapshotFile{
-		Table:   0,
-		ID:      "kernel",
-		Title:   "Similarity-kernel scan statistics",
-		Seed:    seed,
-		Metrics: m,
-	}
+	return m, nil
 }

@@ -1,31 +1,34 @@
 // Command benchgate is the CI bench gate: it regenerates the tier-1
-// evaluation tables (the paper's Tables 1–16) with a fixed seed, writes one
-// BENCH_<n>.json metric snapshot per table, and fails when the reproduced
-// metrics drift from the previous snapshot beyond a tolerance.
+// evaluation tables (the paper's Tables 1–16 and the Table 17 extension)
+// and the kernel, telemetry, front-end, snapshot and fleet-observability
+// metrics with a fixed seed, writes one BENCH_<name>.json metric snapshot
+// per gate, and fails when the reproduced metrics drift from the previous
+// snapshot beyond a tolerance.
 //
-// Behaviour:
+// Behaviour, identical for every gate:
 //
-//   - no prior BENCH_<n>.json for a table → the baseline is created and the
-//     table is skipped cleanly (exit 0);
-//   - prior snapshot present → every numeric cell shared by both runs is
-//     compared with relative tolerance -tol; drifted cells, vanished cells,
-//     and newly appearing cells all fail the gate (exit 1) and the stored
-//     baseline is kept so the failure reproduces;
+//   - no prior baseline file → the baseline is created and the gate is
+//     skipped cleanly (exit 0);
+//   - prior snapshot present → every metric shared by both runs is compared
+//     with relative tolerance -tol (zero for an exact gate); drifted,
+//     vanished and newly appearing metrics all fail the gate (exit 1) and
+//     the stored baseline is kept so the failure reproduces;
 //   - -update rewrites the baselines from the current run and exits 0.
 //
-// Cells that do not parse as numbers (labels, durations in Table 15) are
-// ignored, so wall-clock noise never fails the gate. Everything runs
+// Table cells that do not parse as numbers (labels, durations in Table 15)
+// are ignored, so wall-clock noise never fails the gate. Everything runs
 // offline from the built-in generators.
 //
 // Usage:
 //
-//	benchgate [-dir bench] [-tol 0.02] [-tables 1,2,8-10] [-seed 1] [-update]
+//	benchgate [-dir bench] [-tol 0.02] [-tables 1,2,8-10] [-update]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -36,13 +39,29 @@ import (
 	"reviewsolver/internal/experiments"
 )
 
-// snapshotFile is the on-disk schema of one BENCH_<n>.json.
+// seed is the generator seed every committed baseline was taken at.
+const seed = 1
+
+// snapshotFile is the on-disk schema of one BENCH_<name>.json.
 type snapshotFile struct {
 	Table   int                `json:"table"`
 	ID      string             `json:"id"`
 	Title   string             `json:"title"`
 	Seed    int64              `json:"seed"`
 	Metrics map[string]float64 `json:"metrics"`
+}
+
+// A gate is one baseline file and the collector that regenerates its
+// metrics. name is also the snapshot's stored id.
+type gate struct {
+	name  string
+	file  string
+	table int // paper table number; 0 for the gates that are not tables
+	title string
+	// exact gates compare at zero tolerance whatever -tol says: every
+	// metric is a count or a budget from a byte-deterministic scenario.
+	exact   bool
+	collect func() (map[string]float64, error)
 }
 
 func main() {
@@ -54,16 +73,9 @@ func main() {
 
 func run() error {
 	var (
-		dir    = flag.String("dir", "bench", "directory holding BENCH_<n>.json snapshots")
-		tol    = flag.Float64("tol", 0.02, "relative drift tolerance per metric")
-		tables = flag.String("tables", "1-17", "tables to gate (comma list with ranges, e.g. 1,2,8-10)")
-		seed   = flag.Int64("seed", 1, "generator seed (must match the stored baselines)")
-		kernel = flag.Bool("kernel", true, "also gate the similarity-kernel scan snapshot (BENCH_KERNEL.json)")
-		obsFlg = flag.Bool("obs", true, "also gate the telemetry registry snapshot (BENCH_OBS.json)")
-		frontE = flag.Bool("frontend", true, "also gate front-end allocation counts and cache hit rate (BENCH_FRONTEND.json)")
-		snapFl = flag.Bool("snapshot", true, "also gate the snapshot image structure and load equivalence (BENCH_SNAPSHOT.json)")
-		srvFlg = flag.Bool("serve", true, "also gate the serving layer: response exactness, admission counts, failure mapping, perf pins (BENCH_SERVE.json)")
-		fleetF = flag.Bool("fleetobs", true, "also gate fleet observability: labeled metrics, journal event sequence, SLO budget arithmetic, exactly (BENCH_FLEETOBS.json)")
+		dir    = flag.String("dir", "bench", "directory holding the BENCH_*.json baselines")
+		tol    = flag.Float64("tol", 0.02, "relative drift tolerance per metric (exact gates use 0)")
+		tables = flag.String("tables", "1-17", "paper tables to gate (comma list with ranges, e.g. 1,2,8-10)")
 		update = flag.Bool("update", false, "rewrite the baselines from this run")
 	)
 	flag.Parse()
@@ -75,126 +87,54 @@ func run() error {
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
+	return check(os.Stdout, *dir, gates(nums), *tol, *update)
+}
 
-	runner := experiments.NewRunner(*seed)
-	failed := 0
-	created := 0
-	for _, n := range nums {
+// gates lists the selected paper tables followed by every other gate.
+func gates(tables []int) []*gate {
+	runner := experiments.NewRunner(seed)
+	out := make([]*gate, 0, len(tables)+5)
+	for _, n := range tables {
+		out = append(out, tableGate(runner, n))
+	}
+	return append(out,
+		&gate{name: "kernel", file: "BENCH_KERNEL.json", title: "Similarity-kernel scan statistics", collect: kernelMetrics},
+		&gate{name: "obs", file: "BENCH_OBS.json", title: "Pipeline telemetry registry totals", collect: obsMetrics},
+		&gate{name: "frontend", file: "BENCH_FRONTEND.json", title: "Front-end allocation and cache-effectiveness gate", collect: frontendMetrics},
+		&gate{name: "snapshot", file: "BENCH_SNAPSHOT.json", title: "Snapshot format structural and equivalence gate", collect: snapshotMetrics},
+		&gate{name: "fleetobs", file: "BENCH_FLEETOBS.json", title: "Fleet observability: labeled metrics, journal, SLO budgets", exact: true, collect: fleetobsMetrics},
+	)
+}
+
+// tableGate gates paper table n. The caption is known only once the table
+// is generated, so the collector records it on the gate.
+func tableGate(runner *experiments.Runner, n int) *gate {
+	g := &gate{name: fmt.Sprintf("Table %d", n), file: fmt.Sprintf("BENCH_%d.json", n), table: n}
+	g.collect = func() (map[string]float64, error) {
 		tab, err := runner.TableByNumber(n)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cur := snapshotFile{
-			Table:   n,
-			ID:      tab.ID,
-			Title:   tab.Title,
-			Seed:    *seed,
-			Metrics: tableMetrics(tab),
-		}
-		path := filepath.Join(*dir, fmt.Sprintf("BENCH_%d.json", n))
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, fmt.Sprintf("table %2d", n))
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
+		g.title = tab.Title
+		return tableMetrics(tab), nil
 	}
-	if *kernel {
-		cur := kernelSnapshot(*seed)
-		path := filepath.Join(*dir, "BENCH_KERNEL.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "kernel  ")
+	return g
+}
+
+// check runs the create/compare/update cycle of every gate and fails if any
+// gate drifted.
+func check(out io.Writer, dir string, gs []*gate, tol float64, update bool) error {
+	failed, created := 0, 0
+	for _, g := range gs {
+		m, err := g.collect()
+		if err != nil {
+			return fmt.Errorf("%s: %w", g.name, err)
+		}
+		made, drifted, err := gateSnapshot(out, dir, g, m, tol, update)
 		if err != nil {
 			return err
 		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *obsFlg {
-		cur := obsSnapshot(*seed)
-		path := filepath.Join(*dir, "BENCH_OBS.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "obs     ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *frontE {
-		cur, err := frontendSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_FRONTEND.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "frontend")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *snapFl {
-		cur, err := snapshotSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_SNAPSHOT.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "snapshot")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *srvFlg {
-		cur, err := serveSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_SERVE.json")
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, *tol, *update, "serve   ")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
-			created++
-		}
-		if drifted {
-			failed++
-		}
-	}
-	if *fleetF {
-		cur, err := fleetobsSnapshot(*seed)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(*dir, "BENCH_FLEETOBS.json")
-		// Every fleetobs metric is a count or a budget from a
-		// byte-deterministic scenario — gate with zero tolerance.
-		madeBaseline, drifted, err := gateSnapshot(path, cur, *seed, 0, *update, "fleetobs")
-		if err != nil {
-			return err
-		}
-		if madeBaseline {
+		if made {
 			created++
 		}
 		if drifted {
@@ -202,48 +142,52 @@ func run() error {
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d snapshot(s) drifted beyond tolerance %.3f (use -update to accept)", failed, *tol)
+		return fmt.Errorf("%d gate(s) drifted beyond tolerance (use -update to accept)", failed)
 	}
 	if created > 0 {
-		fmt.Printf("%d baseline(s) created; gate active on next run\n", created)
+		fmt.Fprintf(out, "%d baseline(s) created; gate active on next run\n", created)
 	}
 	return nil
 }
 
-// gateSnapshot runs the create/compare/update cycle for one snapshot file.
-// It reports whether a fresh baseline was created and whether the current run
+// gateSnapshot runs the create/compare/update cycle for one gate. It
+// reports whether a fresh baseline was created and whether the current run
 // drifted from an existing one.
-func gateSnapshot(path string, cur snapshotFile, seed int64, tol float64, update bool, label string) (madeBaseline, drifted bool, err error) {
+func gateSnapshot(out io.Writer, dir string, g *gate, m map[string]float64, tol float64, update bool) (made, drifted bool, err error) {
+	path := filepath.Join(dir, g.file)
+	cur := snapshotFile{Table: g.table, ID: g.name, Title: g.title, Seed: seed, Metrics: m}
 	prev, err := readSnapshot(path)
 	switch {
 	case err != nil && os.IsNotExist(err):
 		if err := writeSnapshot(path, cur); err != nil {
 			return false, false, err
 		}
-		fmt.Printf("%s: baseline created (%d metrics) — skipped\n", label, len(cur.Metrics))
+		fmt.Fprintf(out, "%-8s: baseline created (%d metrics) — skipped\n", g.name, len(m))
 		return true, false, nil
 	case err != nil:
 		return false, false, fmt.Errorf("read %s: %w", path, err)
 	}
 	if prev.Seed != seed {
-		return false, false, fmt.Errorf("%s: baseline seed %d does not match -seed %d (delete %s or rerun with the baseline seed)",
-			label, prev.Seed, seed, path)
+		return false, false, fmt.Errorf("%s: baseline seed %d, want %d (delete %s to retake it)", g.name, prev.Seed, seed, path)
 	}
 	if update {
 		if err := writeSnapshot(path, cur); err != nil {
 			return false, false, err
 		}
-		fmt.Printf("%s: baseline updated (%d metrics)\n", label, len(cur.Metrics))
+		fmt.Fprintf(out, "%-8s: baseline updated (%d metrics)\n", g.name, len(m))
 		return false, false, nil
 	}
-	drifts := compareMetrics(prev.Metrics, cur.Metrics, tol)
+	if g.exact {
+		tol = 0
+	}
+	drifts := compareMetrics(prev.Metrics, m, tol)
 	if len(drifts) == 0 {
-		fmt.Printf("%s: ok (%d metrics within %.1f%%)\n", label, len(cur.Metrics), 100*tol)
+		fmt.Fprintf(out, "%-8s: ok (%d metrics within %.1f%%)\n", g.name, len(m), 100*tol)
 		return false, false, nil
 	}
-	fmt.Printf("%s: DRIFT (%d metrics)\n", label, len(drifts))
+	fmt.Fprintf(out, "%-8s: DRIFT (%d metrics)\n", g.name, len(drifts))
 	for _, d := range drifts {
-		fmt.Printf("  %s\n", d)
+		fmt.Fprintf(out, "  %s\n", d)
 	}
 	return false, true, nil
 }

@@ -8,14 +8,16 @@ import (
 	"reviewsolver/internal/synth"
 )
 
-// obsSnapshot builds the BENCH_OBS.json snapshot: the telemetry registry
+// obsMetrics collects the BENCH_OBS.json metrics: the telemetry registry
 // state after draining the seeded sample corpus through an observed pool.
 // Wall-clock-dependent keys (latency histogram buckets and sums) are
-// filtered out — only their observation counts stay — so every gated metric
-// is an exact function of the seed: review/stage/mapping counters, kernel
+// filtered out — only their observation counts stay. Every count is an
+// exact function of the seed: review/stage/mapping counters, kernel
 // prescreen totals, match-similarity histogram buckets, and the drained
-// pool gauges.
-func obsSnapshot(seed int64) snapshotFile {
+// pool gauges. The one float sum, match_similarity|sum, is not: the four
+// workers add similarities in scheduling order, so it varies in its last
+// bits between runs and only the relative tolerance holds it.
+func obsMetrics() (map[string]float64, error) {
 	data := synth.GenerateSample(seed)
 	reg := obs.NewRegistry()
 	pool := core.NewPool(4).WithObserver(obs.NewRecorder(reg, nil))
@@ -33,13 +35,7 @@ func obsSnapshot(seed int64) snapshotFile {
 		}
 		m[k] = v
 	}
-	return snapshotFile{
-		Table:   0,
-		ID:      "obs",
-		Title:   "Pipeline telemetry registry totals",
-		Seed:    seed,
-		Metrics: m,
-	}
+	return m, nil
 }
 
 // nondeterministicKey reports whether a registry snapshot key carries

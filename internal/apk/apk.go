@@ -72,10 +72,10 @@ type releaseIndex struct {
 	firstLayout, lastLayout string
 	// fps memoizes classContentFingerprint by class identity. The IR is
 	// immutable once built (the index itself relies on that), so a class
-	// pointer's fingerprint never changes; release cadences re-diff the
-	// same release pointers repeatedly (rebuild, change-aware ranking),
-	// and untouched classes are shared between releases. Living on the
-	// index keeps the cache's lifetime tied to the release it describes.
+	// pointer's fingerprint never changes; change-aware ranking re-diffs
+	// the same release pointers repeatedly, and untouched classes are
+	// shared between releases. Living on the index keeps the cache's
+	// lifetime tied to the release it describes.
 	fps sync.Map // *Class -> uint64
 }
 

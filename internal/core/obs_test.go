@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"reflect"
 	"testing"
 
@@ -146,14 +147,18 @@ func TestTraceContent(t *testing.T) {
 
 // TestPoolLocalizeTraced runs the traced pool end to end (the -race gate
 // covers the registry and trace aggregation under concurrency) and checks
-// the registry totals and drained gauges.
+// the registry totals, the drained gauges, the span log, and that the
+// traces do not depend on the worker count.
 func TestPoolLocalizeTraced(t *testing.T) {
 	apps, inputs := poolInputs(40)
 	app := apps[0].App
 
+	var spanLog bytes.Buffer
 	reg := obs.NewRegistry()
-	pool := NewPool(4).WithObserver(obs.NewRecorder(reg, nil))
+	sn := NewSnapshot()
+	pool := NewPoolWithSnapshot(4, sn).WithObserver(obs.NewRecorder(reg, slog.New(slog.NewTextHandler(&spanLog, nil))))
 	results, traces := pool.LocalizeTraced(app, inputs)
+	_, traces2 := NewPoolWithSnapshot(2, sn).WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)).LocalizeTraced(app, inputs)
 
 	if len(results) != len(inputs) || len(traces) != len(inputs) {
 		t.Fatalf("got %d results / %d traces for %d inputs", len(results), len(traces), len(inputs))
@@ -177,6 +182,17 @@ func TestPoolLocalizeTraced(t *testing.T) {
 		if err := obs.ValidateTraceJSON(jsonBytes); err != nil {
 			t.Fatalf("input %d: %v", i, err)
 		}
+		// Only the pool occupancy block may depend on scheduling.
+		four, two := *traces[i], *traces2[i]
+		four.Pool, two.Pool = nil, nil
+		a, errA := four.JSON()
+		b, errB := two.JSON()
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("input %d: trace differs between 4 and 2 workers (errors %v, %v)", i, errA, errB)
+		}
+	}
+	if spanLog.Len() == 0 {
+		t.Error("span log is empty with a logger installed")
 	}
 
 	snap := reg.Snapshot()

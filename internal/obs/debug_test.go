@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -36,8 +37,11 @@ func TestDebugServerEndpoints(t *testing.T) {
 		return string(body)
 	}
 
-	if body := fetch("/debug/vars"); !strings.Contains(body, `"reviewsolver"`) {
-		t.Errorf("/debug/vars missing the reviewsolver var:\n%s", body)
+	var vars struct {
+		ReviewSolver map[string]float64 `json:"reviewsolver"`
+	}
+	if body := fetch("/debug/vars"); json.Unmarshal([]byte(body), &vars) != nil || vars.ReviewSolver["reviews_total"] != 5 {
+		t.Errorf("/debug/vars does not decode to reviewsolver.reviews_total = 5:\n%s", body)
 	}
 	if body := fetch("/metrics"); !strings.Contains(body, "counter reviews_total 5") {
 		t.Errorf("/metrics missing the counter line:\n%s", body)

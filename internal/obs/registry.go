@@ -26,7 +26,7 @@ var LatencyBucketsNs = []float64{
 
 // SimilarityBuckets cover the cosine-similarity range [0, 1] in 0.05
 // steps. Match similarities are deterministic for a fixed model and
-// corpus, so these bucket totals are gateable (cmd/benchgate -obs).
+// corpus, so these bucket totals are gateable (cmd/benchgate's obs gate).
 var SimilarityBuckets = []float64{
 	0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50,
 	0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.00,

@@ -186,7 +186,8 @@ func (t *ReviewTrace) JSON() ([]byte, error) {
 // schema version must match, required fields must be present and typed,
 // and every ranked candidate must reference in-range match entries that
 // name a phrase, an information source, and a similarity. It is the
-// machine-checkable contract `make obs-smoke` enforces.
+// machine-checkable contract the core and serve tests enforce on every
+// trace they produce.
 func ValidateTraceJSON(data []byte) error {
 	var t ReviewTrace
 	if err := json.Unmarshal(data, &t); err != nil {

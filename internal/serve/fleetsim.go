@@ -19,8 +19,8 @@ import (
 )
 
 // This file is the deterministic fleet-observability scenario shared by the
-// fleetobs tests, cmd/benchgate -fleetobs, and `reviewd -fleetstat`: a
-// daemon with the whole observability layer on (labeled metrics, tracing,
+// fleetobs tests, benchgate's exact fleetobs gate, and `reviewd -fleetstat`:
+// a daemon with the whole observability layer on (labeled metrics, tracing,
 // journal, SLO) driven through every lifecycle transition — warm loads,
 // concurrent traffic, an injected panic, a corrupt snapshot quarantining
 // and re-probing, a transient load fault recovering, a hot swap,

@@ -5,17 +5,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"reviewsolver/internal/apk"
 	"reviewsolver/internal/core"
 	"reviewsolver/internal/obs"
 	"reviewsolver/internal/serve/faultinject"
+	"reviewsolver/internal/synth"
 )
 
 // testDaemon builds a daemon with the sample app registered and handler-level
@@ -67,34 +72,95 @@ func errorKind(t *testing.T, w *httptest.ResponseRecorder) string {
 func TestLocalizeSingleMatchesDirectSolverByteForByte(t *testing.T) {
 	data, img := sampleImage(t)
 	td := newTestDaemon(t, nil)
-	rv := data.Reviews[0]
-
-	w := td.do("POST", "/v1/localize", LocalizeRequest{
-		App:         "app.sample",
-		Review:      rv.Text,
-		PublishedAt: rv.PublishedAt.Format(time.RFC3339),
-	})
-	if w.Code != http.StatusOK {
-		t.Fatalf("localize = %d: %s", w.Code, w.Body.String())
-	}
 
 	// Expected bytes, computed locally with the same snapshot and encoder.
 	snap, app, err := core.LoadSnapshotBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := core.NewWithSnapshot(snap).LocalizeReview(app, rv.Text, rv.PublishedAt)
-	want, err := json.Marshal(LocalizeResponse{
-		App:     "app.sample",
-		Version: "v1",
-		Results: []LocalizeResult{ResultToJSON(rv.Text, res)},
-	})
+	solver := core.NewWithSnapshot(snap)
+	ranked := 0
+	for i, rv := range data.Reviews[:16] {
+		w := td.do("POST", "/v1/localize", LocalizeRequest{
+			App:         "app.sample",
+			Review:      rv.Text,
+			PublishedAt: rv.PublishedAt.Format(time.RFC3339),
+		})
+		if w.Code != http.StatusOK {
+			t.Fatalf("review %d: localize = %d: %s", i, w.Code, w.Body.String())
+		}
+		want, res := directResponse(t, solver, app, "app.sample", rv)
+		if !bytes.Equal(w.Body.Bytes(), want) {
+			t.Fatalf("review %d: served response differs from direct solver output:\n got: %s\nwant: %s", i, w.Body.Bytes(), want)
+		}
+		ranked += len(res.Ranked)
+	}
+	// Pins the sample's localization output: the 16 reviews rank 10
+	// classes between them.
+	if ranked != 10 {
+		t.Fatalf("16 sample reviews ranked %d classes, want 10", ranked)
+	}
+}
+
+// directResponse returns the bytes /v1/localize must serve for one review
+// of pkg at version v1 (the direct solver's result through the response
+// encoder) and that result.
+func directResponse(t *testing.T, solver *core.Solver, app *apk.App, pkg string, rv synth.Review) ([]byte, *core.Result) {
+	t.Helper()
+	res := solver.LocalizeReview(app, rv.Text, rv.PublishedAt)
+	b, err := json.Marshal(LocalizeResponse{App: pkg, Version: "v1", Results: []LocalizeResult{ResultToJSON(rv.Text, res)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want = append(want, '\n')
-	if !bytes.Equal(w.Body.Bytes(), want) {
-		t.Fatalf("served response differs from direct solver output:\n got: %s\nwant: %s", w.Body.Bytes(), want)
+	return append(b, '\n'), res
+}
+
+// TestServeThroughputAndTailLatency holds two wall-clock floors loose
+// enough that only an order-of-magnitude regression trips them (accidental
+// sequentialization, a lock on the hot path, a spin loop): at least 20
+// reviews/s over a batch of the whole sample corpus, and a p99 of at most
+// 2 s over 30 single-review requests.
+func TestServeThroughputAndTailLatency(t *testing.T) {
+	const (
+		minReviewsPerSec = 20.0
+		maxP99           = 2 * time.Second
+		samples          = 30
+	)
+	data, _ := sampleImage(t)
+	td := newTestDaemon(t, nil)
+	// Warm the snapshot so the measurements exclude the one-time load.
+	if w := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text}); w.Code != http.StatusOK {
+		t.Fatalf("warm-up = %d: %s", w.Code, w.Body.String())
+	}
+
+	batch := make([]BatchReview, len(data.Reviews))
+	for i, rv := range data.Reviews {
+		batch[i] = BatchReview{Review: rv.Text, PublishedAt: rv.PublishedAt.Format(time.RFC3339)}
+	}
+	start := time.Now()
+	w := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.sample", Reviews: batch})
+	elapsed := time.Since(start)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", w.Code, w.Body.String())
+	}
+	if rate := float64(len(batch)) / elapsed.Seconds(); rate < minReviewsPerSec {
+		t.Errorf("batch of %d reviews served at %.1f reviews/s, want at least %.0f", len(batch), rate, minReviewsPerSec)
+	}
+
+	lat := make([]time.Duration, samples)
+	for i := range lat {
+		rv := data.Reviews[i%len(data.Reviews)]
+		req := LocalizeRequest{App: "app.sample", Review: rv.Text, PublishedAt: rv.PublishedAt.Format(time.RFC3339)}
+		t0 := time.Now()
+		w := td.do("POST", "/v1/localize", req)
+		lat[i] = time.Since(t0)
+		if w.Code != http.StatusOK {
+			t.Fatalf("sample %d = %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	if p99 := lat[len(lat)*99/100]; p99 > maxP99 {
+		t.Errorf("p99 over %d single requests = %v, want at most %v", samples, p99, maxP99)
 	}
 }
 
@@ -219,7 +285,7 @@ func TestAppsAndMetricsEndpoints(t *testing.T) {
 	}
 
 	m := td.do("GET", "/metrics", nil)
-	for _, want := range []string{metricRequests, metricLoads, metricRegistryBytes} {
+	for _, want := range []string{metricRequests, metricLoads, metricRegistryBytes, "gauge " + metricRegistryBudget + " 0"} {
 		if !strings.Contains(m.Body.String(), want) {
 			t.Errorf("/metrics missing %s:\n%s", want, m.Body.String())
 		}
@@ -265,14 +331,19 @@ func TestChaosLoadFailureIsolation(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable || errorKind(t, w) != "load_failed" {
 		t.Fatalf("corrupt app = %d/%s, want 503/load_failed", w.Code, errorKind(t, w))
 	}
-	// Second hit inside the quarantine window: rejected with the quarantined
-	// kind and a Retry-After hint, no second load attempt.
-	w2 := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.bad", Review: "it crashes"})
-	if w2.Code != http.StatusServiceUnavailable || errorKind(t, w2) != "quarantined" {
-		t.Fatalf("quarantined app = %d/%s, want 503/quarantined", w2.Code, errorKind(t, w2))
+	// Further hits inside the quarantine window: rejected with the
+	// quarantined kind and a Retry-After hint, no second load attempt.
+	for i := 0; i < 2; i++ {
+		w2 := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.bad", Review: "it crashes"})
+		if w2.Code != http.StatusServiceUnavailable || errorKind(t, w2) != "quarantined" {
+			t.Fatalf("probe %d: quarantined app = %d/%s, want 503/quarantined", i, w2.Code, errorKind(t, w2))
+		}
+		if w2.Header().Get("Retry-After") == "" {
+			t.Fatalf("probe %d: quarantined response missing Retry-After header", i)
+		}
 	}
-	if w2.Header().Get("Retry-After") == "" {
-		t.Fatal("quarantined response missing Retry-After header")
+	if got := td.met.Counter(metricQuarantined).Value(); got != 1 {
+		t.Fatalf("quarantined_total = %d, want 1", got)
 	}
 
 	healthy := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text})
@@ -281,21 +352,24 @@ func TestChaosLoadFailureIsolation(t *testing.T) {
 	}
 }
 
-// TestChaosSlowLoadDeadline: a load slower than the request timeout answers
-// 504, and the deadline counter moves.
+// TestChaosSlowLoadDeadline: a load or a request slower than the request
+// timeout answers 504 with the deadline kind.
 func TestChaosSlowLoadDeadline(t *testing.T) {
-	td := newTestDaemon(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
-	td.inj.Arm(faultinject.PointSnapshotLoad, faultinject.Fault{Delay: 5 * time.Second, Count: 1})
-
 	data, _ := sampleImage(t)
-	w := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text})
-	if w.Code != http.StatusGatewayTimeout || errorKind(t, w) != "deadline" {
-		t.Fatalf("slow load = %d/%s, want 504/deadline", w.Code, errorKind(t, w))
-	}
-	// The fault is exhausted; the same app loads fine on the next request.
-	w2 := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text})
-	if w2.Code != http.StatusOK {
-		t.Fatalf("after slow-load fault = %d: %s", w2.Code, w2.Body.String())
+	body := LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text}
+	for _, point := range []faultinject.Point{faultinject.PointSnapshotLoad, faultinject.PointRequest} {
+		td := newTestDaemon(t, func(c *Config) { c.RequestTimeout = 50 * time.Millisecond })
+		td.inj.Arm(point, faultinject.Fault{Delay: 5 * time.Second, Count: 1})
+
+		w := td.do("POST", "/v1/localize", body)
+		if w.Code != http.StatusGatewayTimeout || errorKind(t, w) != "deadline" {
+			t.Fatalf("%s: slow = %d/%s, want 504/deadline", point, w.Code, errorKind(t, w))
+		}
+		// The fault is exhausted; the same app serves fine on the next request.
+		w2 := td.do("POST", "/v1/localize", body)
+		if w2.Code != http.StatusOK {
+			t.Fatalf("%s: after slow fault = %d: %s", point, w2.Code, w2.Body.String())
+		}
 	}
 }
 
@@ -520,6 +594,130 @@ func TestChaosHotSwapUnderFire(t *testing.T) {
 	}
 	if got := td.met.Counter(metricHotSwaps).Value(); got != 5 {
 		t.Fatalf("hotswaps_total = %d, want 5", got)
+	}
+}
+
+// TestServeSmoke runs the daemon the way an operator does: on a real
+// listener, with two apps registered over HTTP from compiled .snap files,
+// under concurrent single-review traffic to both and one panic armed for
+// the second app, with the full fleet-observability layer on. Every request
+// is sampled, so every 200 comes from the traced localization path and is
+// byte-identical to a direct, untraced solver over the same image; exactly
+// one request panics and it is the armed app's, and the daemon still drains
+// cleanly.
+func TestServeSmoke(t *testing.T) {
+	const perApp = 8
+	appA, appB := synth.GenerateSamplePair(1)
+	apps := []*synth.AppData{appA, appB}
+
+	inj := faultinject.New()
+	inj.Arm(faultinject.PointRequest, faultinject.Fault{Err: faultinject.ErrPanic, Count: 1, Key: appB.Info.Package})
+	d := NewDaemon(Config{
+		Metrics:          obs.NewRegistry(),
+		Injector:         inj,
+		TraceSampleEvery: 1,
+		TraceSeed:        1,
+		JournalCapacity:  64,
+		SLO:              &obs.SLOConfig{Availability: 0.95},
+	})
+	if err := d.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + d.Addr()
+	post := func(path string, payload any) (int, []byte, error) {
+		b, err := json.Marshal(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.Post(base+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, body, err
+	}
+
+	// Compile both apps, register them over HTTP, and compute the expected
+	// response bytes with a direct solver over the same images.
+	dir := t.TempDir()
+	want := make([][][]byte, len(apps))
+	for a, data := range apps {
+		pkg := data.Info.Package
+		img, err := core.EncodeSnapshot(core.NewSnapshot(), data.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, pkg+".snap")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if status, body, err := post("/v1/apps", RegisterRequest{App: pkg, Version: "v1", Path: path}); err != nil || status != http.StatusOK {
+			t.Fatalf("register %s = %d (%v): %s", pkg, status, err, body)
+		}
+		snap, app, err := core.LoadSnapshotBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver := core.NewWithSnapshot(snap)
+		for _, rv := range data.Reviews[:perApp] {
+			b, _ := directResponse(t, solver, app, pkg, rv)
+			want[a] = append(want[a], b)
+		}
+	}
+
+	type outcome struct {
+		status int
+		body   []byte
+		err    error
+	}
+	got := make([][]outcome, len(apps))
+	var wg sync.WaitGroup
+	for a, data := range apps {
+		got[a] = make([]outcome, perApp)
+		for i, rv := range data.Reviews[:perApp] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, body, err := post("/v1/localize", LocalizeRequest{
+					App: data.Info.Package, Review: rv.Text, PublishedAt: rv.PublishedAt.Format(time.RFC3339),
+				})
+				got[a][i] = outcome{status, body, err}
+			}()
+		}
+	}
+	wg.Wait()
+
+	panics := 0
+	for a, data := range apps {
+		for i, o := range got[a] {
+			switch {
+			case o.err != nil:
+				t.Errorf("%s review %d: %v", data.Info.Package, i, o.err)
+			case o.status == http.StatusInternalServerError && a == 1:
+				panics++
+			case o.status != http.StatusOK:
+				t.Errorf("%s review %d = %d: %s", data.Info.Package, i, o.status, o.body)
+			case !bytes.Equal(o.body, want[a][i]):
+				t.Errorf("%s review %d: served response differs from the direct solver:\n got: %s\nwant: %s",
+					data.Info.Package, i, o.body, want[a][i])
+			}
+		}
+	}
+	if panics != 1 {
+		t.Errorf("%d requests to %s hit the armed panic, want exactly 1", panics, appB.Info.Package)
+	}
+	// Every localization that ran was sampled and kept its explain trace.
+	if got, want := d.traces.Stored(), int64(len(apps)*perApp-panics); got != want {
+		t.Errorf("%d traces stored, want %d (one per localized request)", got, want)
+	}
+
+	// Drop the client's pooled keep-alive connections (the server holds
+	// speculatively dialed, never-used ones in StateNew, which Shutdown does
+	// not reap for 5 s) so Close measures the daemon's drain, not the pool.
+	http.DefaultClient.CloseIdleConnections()
+	if err := d.Close(); err != nil {
+		t.Fatalf("graceful shutdown after traffic: %v", err)
 	}
 }
 
