@@ -34,7 +34,7 @@ snapshot:
 PROFDIR ?= profiles
 profile:
 	@mkdir -p $(PROFDIR)
-	go test -run xxx -bench 'CorpusThroughput|ParallelLocalizeReview$$|AnalyzeReview' -benchtime 3s \
+	go test -run xxx -bench 'CorpusThroughput|LocalizeReviewEndToEnd$$|AnalyzeReview' -benchtime 3s \
 		-cpuprofile $(PROFDIR)/cpu.out -memprofile $(PROFDIR)/heap.out .
 	@echo "profiles written to $(PROFDIR)/cpu.out and $(PROFDIR)/heap.out"
 

@@ -427,52 +427,34 @@ func BenchmarkPerWorkerWarmup(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelLocalizeReview measures single-review latency with the
-// chunked-parallel matcher fanned out across all CPUs (kernel path: the
-// default flattened dot scans with the anchor prescreen).
-func BenchmarkParallelLocalizeReview(b *testing.B) {
-	app := k9()
-	sn := core.NewSnapshot()
-	sn.PrecomputeApp(app.App)
-	solver := core.NewWithSnapshot(sn, core.WithParallelism(0))
-	review := "It's a great app but i cannot fetch mail since the latest update"
-	when := app.App.Latest().ReleasedAt.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		solver.LocalizeReview(app.App, review, when)
-	}
-}
-
-// BenchmarkParallelLocalizeReviewObserved re-runs the same configuration
-// with telemetry variants. The "off" sub-benchmark is the acceptance gate
-// for the obs layer: with no recorder installed the instrumentation is nil
-// checks only, so its ns/op must stay within 5% of
-// BenchmarkParallelLocalizeReview. "metrics" and "traced" price the
-// opt-in layers (registry atomics / explain-trace collection).
-func BenchmarkParallelLocalizeReviewObserved(b *testing.B) {
+// BenchmarkLocalizeReviewObserved measures one warm K-9 review on a
+// snapshot-backed solver, the configuration a pool worker runs, with
+// telemetry variants. "off" is the obs layer's overhead reference: with no
+// recorder installed the instrumentation is nil checks only. "metrics" and
+// "traced" price the opt-in layers (registry atomics / explain-trace
+// collection).
+func BenchmarkLocalizeReviewObserved(b *testing.B) {
 	app := k9()
 	sn := core.NewSnapshot()
 	sn.PrecomputeApp(app.App)
 	review := "It's a great app but i cannot fetch mail since the latest update"
 	when := app.App.Latest().ReleasedAt.Add(24 * time.Hour)
 	b.Run("off", func(b *testing.B) {
-		solver := core.NewWithSnapshot(sn, core.WithParallelism(0))
+		solver := core.NewWithSnapshot(sn)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			solver.LocalizeReview(app.App, review, when)
 		}
 	})
 	b.Run("metrics", func(b *testing.B) {
-		solver := core.NewWithSnapshot(sn, core.WithParallelism(0),
-			core.WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)))
+		solver := core.NewWithSnapshot(sn, core.WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			solver.LocalizeReview(app.App, review, when)
 		}
 	})
 	b.Run("traced", func(b *testing.B) {
-		solver := core.NewWithSnapshot(sn, core.WithParallelism(0),
-			core.WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)))
+		solver := core.NewWithSnapshot(sn, core.WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			solver.LocalizeReviewTraced(app.App, review, when)

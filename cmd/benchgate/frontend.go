@@ -36,7 +36,7 @@ func frontendMetrics() (map[string]float64, error) {
 
 	sn := core.NewSnapshot()
 	sn.PrecomputeApp(app)
-	solver := core.NewWithSnapshot(sn, core.WithParallelism(-1))
+	solver := core.NewWithSnapshot(sn)
 	review := data.Reviews[0].Text
 	when := app.Latest().ReleasedAt.Add(24 * time.Hour)
 	// Warm every cache and pool the measurement touches.

@@ -52,7 +52,6 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "generator seed for built-in apps")
 		when      = flag.String("published", "", "review publication time (RFC 3339); default: after the latest release")
 		triage    = flag.Bool("triage", false, "triage the app's whole generated review corpus into a markdown report")
-		parallel  = flag.Int("parallel", 0, "similarity-matching fan-out per review: 0 = all CPUs, negative = sequential")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/vars, /debug/pprof and /metrics on this address while running")
 		explain   = flag.String("explain", "", "write the explain-trace JSON for the localized review to this file (\"-\" for stdout)")
 		trace     = flag.Bool("trace", false, "log pipeline stage spans to stderr as structured events")
@@ -82,7 +81,7 @@ func run() error {
 	}
 
 	if *triage {
-		return runTriage(*appPkg, *seed, *parallel, rec)
+		return runTriage(*appPkg, *seed, rec)
 	}
 	if *review == "" {
 		return errors.New("missing -review text (or use -list / -triage)")
@@ -118,7 +117,7 @@ func run() error {
 		}
 	}
 
-	solver := core.NewWithSnapshot(sn, core.WithParallelism(*parallel), core.WithObserver(rec))
+	solver := core.NewWithSnapshot(sn, core.WithObserver(rec))
 
 	if *explain != "" {
 		res, tr := solver.LocalizeReviewTraced(app, *review, publishedAt)
@@ -147,7 +146,7 @@ func run() error {
 // snapshot-backed solver so static extraction happens once up front; the
 // stderr summary reports per-review latency percentiles read from the
 // telemetry histogram, not just total wall-clock.
-func runTriage(pkg string, seed int64, parallel int, rec *obs.Recorder) error {
+func runTriage(pkg string, seed int64, rec *obs.Recorder) error {
 	if pkg == "" {
 		return errors.New("-triage requires -app <package>")
 	}
@@ -164,7 +163,7 @@ func runTriage(pkg string, seed int64, parallel int, rec *obs.Recorder) error {
 		func() textclass.Classifier { return textclass.NewBoostedTrees() })
 	sn := core.NewSnapshot(core.WithClassifier(vec, clf))
 	sn.PrecomputeApp(data.App)
-	solver := core.NewWithSnapshot(sn, core.WithParallelism(parallel), core.WithObserver(rec))
+	solver := core.NewWithSnapshot(sn, core.WithObserver(rec))
 	b := report.NewBuilder(solver, data.App)
 	started := time.Now()
 	for _, rv := range data.Reviews {

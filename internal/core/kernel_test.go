@@ -35,25 +35,25 @@ func TestKernelRankingMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestKernelSnapshotParallelMatchesLegacy stacks every layer at once: a
-// snapshot-backed solver with inner parallelism and the kernel matcher must
-// reproduce the sequential brute-force cosine oracle byte for byte.
+// TestKernelSnapshotParallelMatchesLegacy stacks the layers a pool worker
+// reads through: a snapshot-backed solver with the kernel matcher must
+// reproduce the brute-force cosine oracle byte for byte.
 func TestKernelSnapshotParallelMatchesLegacy(t *testing.T) {
 	data := synth.GenerateSample(5)
 	app := data.App
 
 	oracle := cosineOracle{New()}
 	sn := NewSnapshot()
-	kernel := NewWithSnapshot(sn, WithParallelism(4))
+	kernel := NewWithSnapshot(sn)
 
 	for i, rv := range data.Reviews {
 		want := oracle.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		got := kernel.LocalizeReview(app, rv.Text, rv.PublishedAt)
 		if !reflect.DeepEqual(got.Mappings, want.Mappings) {
-			t.Fatalf("review %d: snapshot+parallel kernel mappings differ from the cosine oracle", i)
+			t.Fatalf("review %d: snapshot kernel mappings differ from the cosine oracle", i)
 		}
 		if !reflect.DeepEqual(got.Ranked, want.Ranked) {
-			t.Fatalf("review %d: snapshot+parallel kernel ranking differs from the cosine oracle", i)
+			t.Fatalf("review %d: snapshot kernel ranking differs from the cosine oracle", i)
 		}
 	}
 }

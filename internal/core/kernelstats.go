@@ -12,8 +12,8 @@ import (
 // pass), so cmd/benchgate snapshots them next to the table metrics and a
 // kernel or prescreen regression shows up as a count drift long before it
 // shows up as wall-clock noise. During localization the identical counts
-// are aggregated race-safely per worker chunk and fed into the obs
-// registry (prescreen_*_total) and the per-review explain trace.
+// are tallied per phrase scan and fed into the obs registry
+// (prescreen_*_total) and the per-review explain trace.
 
 // KernelScanStats scans a release's method-phrase matrix (§4.1.1) with the
 // given query phrase and reports (pruned, evaluated, matched) row counts.

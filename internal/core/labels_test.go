@@ -9,9 +9,9 @@ import (
 	"reviewsolver/internal/synth"
 )
 
-// labeledSnapshot runs a labeled, observed solver over the seed corpus at
-// the given worker count and returns only the labeled ("name{…}") entries
-// of the registry snapshot.
+// labeledSnapshot runs a labeled, observed pool of the given worker count
+// over the seed corpus and returns only the labeled ("name{…}") entries of
+// the registry snapshot.
 func labeledSnapshot(t *testing.T, seed int64, workers int) map[string]float64 {
 	t.Helper()
 	data := synth.GenerateSample(seed)
@@ -19,15 +19,14 @@ func labeledSnapshot(t *testing.T, seed int64, workers int) map[string]float64 {
 	if len(reviews) > 10 {
 		reviews = reviews[:10]
 	}
-	reg := obs.NewRegistry()
-	s := New(
-		WithObserver(obs.NewRecorder(reg, nil)),
-		WithAppLabel(data.App.Package),
-		WithParallelism(workers),
-	)
-	for _, rv := range reviews {
-		s.LocalizeReview(data.App, rv.Text, rv.PublishedAt)
+	inputs := make([]ReviewInput, len(reviews))
+	for i, rv := range reviews {
+		inputs[i] = ReviewInput{Text: rv.Text, PublishedAt: rv.PublishedAt}
 	}
+	reg := obs.NewRegistry()
+	NewPool(workers, WithAppLabel(data.App.Package)).
+		WithObserver(obs.NewRecorder(reg, nil)).
+		Localize(data.App, inputs)
 	out := make(map[string]float64)
 	for k, v := range reg.Snapshot() {
 		if strings.Contains(k, "{") {
@@ -39,9 +38,8 @@ func labeledSnapshot(t *testing.T, seed int64, workers int) map[string]float64 {
 
 // TestAppLabeledCountersWorkerInvariant is the per-app labeled analogue of
 // the pipeline determinism property: the labeled counter set (keys and
-// values) must be identical across worker counts and chunk partitions,
-// because chunk results merge deterministically before any counter is
-// bumped per review.
+// values) must be identical across pool worker counts, because each review
+// bumps its counters once, from whichever worker localized it.
 func TestAppLabeledCountersWorkerInvariant(t *testing.T) {
 	for _, seed := range []int64{3, 5, 7, 9} {
 		base := labeledSnapshot(t, seed, 1)

@@ -34,6 +34,83 @@ func (s *Solver) Localize(ra *ReviewAnalysis, info *StaticInfo, previous, curren
 	return s.localize(ra, info, previous, current, nil, nil)
 }
 
+// localizeInput is what a localizer reads: the analyzed review, the static
+// extraction of the release it was matched to, that release and its
+// predecessor, and the mappings the localizers before it in the table found.
+type localizeInput struct {
+	ra                *ReviewAnalysis
+	info              *StaticInfo
+	previous, current *apk.Release
+	earlier           []Mapping
+}
+
+// localizer is one row of the context-localizer table.
+type localizer struct {
+	ctx   ctxinfo.Type
+	stage string
+	// fn records the localizer's matches through e and returns them. The
+	// emitter travels by value, so it stays on the caller's stack across
+	// this indirect call.
+	fn func(s *Solver, e emitter, in localizeInput) []Mapping
+}
+
+// localizers lists the nine context localizers (§4.1–4.2) once, in the
+// order Localize runs them. Update runs last: §4.1.6 falls back to the
+// version diff only when nothing else localized the review.
+var localizers = [...]localizer{
+	{ctxinfo.AppSpecificTask, stageAppSpecific, (*Solver).localizeAppSpecific},
+	{ctxinfo.GUI, stageGUI, (*Solver).localizeGUI},
+	{ctxinfo.ErrorMessage, stageErrorMessage, (*Solver).localizeErrorMessage},
+	{ctxinfo.OpeningApp, stageOpeningApp, (*Solver).localizeOpeningApp},
+	{ctxinfo.RegisteringAccount, stageRegistration, (*Solver).localizeRegistration},
+	{ctxinfo.APIURIIntent, stageAPIURIIntent, (*Solver).localizeAPIURIIntent},
+	{ctxinfo.GeneralTask, stageGeneralTask, (*Solver).localizeGeneralTask},
+	{ctxinfo.Exception, stageException, (*Solver).localizeException},
+	{ctxinfo.UpdatingApp, stageUpdate, (*Solver).localizeUpdate},
+}
+
+// run invokes the localizer with a fresh emitter.
+func (l *localizer) run(s *Solver, tr *obs.ReviewTrace, in localizeInput) []Mapping {
+	return l.fn(s, emitter{s: s, tr: tr, sim: s.simHist(), ctx: l.ctx, stage: l.stage}, in)
+}
+
+// emitter records one localizer run's matches: match appends the Mapping,
+// observes its similarity in the match_similarity histogram and, when an
+// explain trace is attached, appends the mirroring MatchTrace; scanned folds
+// one phrase×matrix scan count into the prescreen counters and the trace.
+// Every localizer records through it, so a mapping and its telemetry cannot
+// drift apart.
+type emitter struct {
+	s     *Solver
+	tr    *obs.ReviewTrace
+	sim   *obs.Histogram
+	ctx   ctxinfo.Type
+	stage string
+	out   []Mapping
+}
+
+// match records that phraseText correlates with class (and method, when
+// one is known); source names the information it matched and sim its
+// similarity (1 for an exact hit).
+func (e *emitter) match(phraseText, class, method, source, evidence string, sim float64) {
+	e.out = append(e.out, Mapping{Phrase: phraseText, Class: class, Method: method, Context: e.ctx, Evidence: evidence})
+	e.sim.Observe(sim)
+	if e.tr != nil {
+		e.tr.AddMatch(obs.MatchTrace{
+			Phrase: phraseText, Class: class, Method: method,
+			Stage: e.stage, Source: source, Evidence: evidence,
+			Similarity: sim,
+		})
+	}
+}
+
+// scanned records one phrase's scan over a rows-long matrix.
+func (e *emitter) scanned(matrix, phraseText string, rows int, sc wordvec.ScanCount) {
+	if e.s.rec != nil || e.tr != nil {
+		e.s.noteScan(e.tr, e.stage, matrix, phraseText, rows, sc)
+	}
+}
+
 // localize is Localize with telemetry: a "localize" span with one child
 // span per localizer (when a recorder is installed) and per-stage match
 // and scan records in the explain trace (when tr is non-nil). Both default
@@ -44,55 +121,31 @@ func (s *Solver) localize(ra *ReviewAnalysis, info *StaticInfo, previous, curren
 	if sp == nil {
 		sp = s.rec.Start(stageLocalize)
 	}
+	in := localizeInput{ra: ra, info: info, previous: previous, current: current}
 	var out []Mapping
-	run := func(stage string, fn func() []Mapping) {
-		c := sp.Child(stage)
-		ms := fn()
+	for i := range localizers {
+		l := &localizers[i]
+		c := sp.Child(l.stage)
+		in.earlier = out
+		ms := l.run(s, tr, in)
 		c.End()
-		tr.AddStage(stage, stageLocalize, len(ms))
+		tr.AddStage(l.stage, stageLocalize, len(ms))
 		out = append(out, ms...)
 	}
-	run(stageAppSpecific, func() []Mapping { return s.localizeAppSpecific(ra, info, tr) })
-	run(stageGUI, func() []Mapping { return s.localizeGUI(ra, info, tr) })
-	run(stageErrorMessage, func() []Mapping { return s.localizeErrorMessage(ra, info, tr) })
-	run(stageOpeningApp, func() []Mapping { return s.localizeOpeningApp(ra, info, tr) })
-	run(stageRegistration, func() []Mapping { return s.localizeRegistration(ra, info, tr) })
-	run(stageAPIURIIntent, func() []Mapping { return s.localizeAPIURIIntent(ra, info, tr) })
-	run(stageGeneralTask, func() []Mapping { return s.localizeGeneralTask(ra, info, tr) })
-	run(stageException, func() []Mapping { return s.localizeException(ra, info, tr) })
-	// §4.1.6: update-related errors fall back to the version diff only when
-	// nothing else localized the review.
-	existing := out
-	run(stageUpdate, func() []Mapping { return s.localizeUpdate(ra, existing, previous, current, tr) })
 	sp.End()
 	return dedupMappings(out)
 }
 
 // LocalizeByContext runs a single context localizer, for per-context
-// effectiveness (Table 12) and timing (Table 15) measurements.
+// effectiveness (Table 12) and timing (Table 15) measurements. The update
+// localizer runs as if no other localizer had found anything.
 func (s *Solver) LocalizeByContext(ctx ctxinfo.Type, ra *ReviewAnalysis, info *StaticInfo, previous, current *apk.Release) []Mapping {
-	switch ctx {
-	case ctxinfo.AppSpecificTask:
-		return s.localizeAppSpecific(ra, info, nil)
-	case ctxinfo.GUI:
-		return s.localizeGUI(ra, info, nil)
-	case ctxinfo.ErrorMessage:
-		return s.localizeErrorMessage(ra, info, nil)
-	case ctxinfo.OpeningApp:
-		return s.localizeOpeningApp(ra, info, nil)
-	case ctxinfo.RegisteringAccount:
-		return s.localizeRegistration(ra, info, nil)
-	case ctxinfo.APIURIIntent:
-		return s.localizeAPIURIIntent(ra, info, nil)
-	case ctxinfo.GeneralTask:
-		return s.localizeGeneralTask(ra, info, nil)
-	case ctxinfo.Exception:
-		return s.localizeException(ra, info, nil)
-	case ctxinfo.UpdatingApp:
-		return s.localizeUpdate(ra, nil, previous, current, nil)
-	default:
-		return nil
+	for i := range localizers {
+		if l := &localizers[i]; l.ctx == ctx {
+			return l.run(s, nil, localizeInput{ra: ra, info: info, previous: previous, current: current})
+		}
 	}
+	return nil
 }
 
 func dedupMappings(ms []Mapping) []Mapping {
@@ -114,52 +167,25 @@ func dedupMappings(ms []Mapping) []Mapping {
 // localizeAppSpecific compares each review verb phrase against the verb
 // phrases derived from method names and Code2vec summaries, scanning the
 // flattened method-phrase matrix with the dot-only kernel and anchor
-// prescreen. The candidate loop is chunked across workers
-// (WithParallelism); chunk results merge in candidate order, so output
-// order matches the sequential pass exactly.
-func (s *Solver) localizeAppSpecific(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
+// prescreen.
+func (s *Solver) localizeAppSpecific(e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	threshold := s.vec.Threshold()
-	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
-		phraseText := prep.text
-		res := parallelChunks(len(info.MethodPhrases), s.parallelism,
-			func(start, end int) scanChunk {
-				var ck scanChunk
-				ck.scan = info.methodMatrix.ScanThresholdCount(&prep.q, threshold, start, end, func(i int, sim float64) {
-					mp := &info.MethodPhrases[i]
-					source, evidence := "method name", "method name "+mp.Method.Name
-					if mp.FromSummary {
-						source = "method summary"
-						evidence = "method summary [" + strings.Join(mp.Words, " ") + "]"
-					}
-					ck.maps = append(ck.maps, Mapping{
-						Phrase:   phraseText,
-						Class:    mp.Method.Class,
-						Method:   mp.Method.Name,
-						Context:  ctxinfo.AppSpecificTask,
-						Evidence: evidence,
-					})
-					simHist.Observe(sim)
-					if tr != nil {
-						ck.matches = append(ck.matches, obs.MatchTrace{
-							Phrase: phraseText, Class: mp.Method.Class, Method: mp.Method.Name,
-							Stage: stageAppSpecific, Source: source, Evidence: evidence,
-							Similarity: sim,
-						})
-					}
-				})
-				return ck
+		sc := info.methodMatrix.ScanThresholdCount(&prep.q, threshold, 0, len(info.MethodPhrases),
+			func(i int, sim float64) {
+				mp := &info.MethodPhrases[i]
+				source, evidence := "method name", "method name "+mp.Method.Name
+				if mp.FromSummary {
+					source = "method summary"
+					evidence = "method summary [" + strings.Join(mp.Words, " ") + "]"
+				}
+				e.match(prep.text, mp.Method.Class, mp.Method.Name, source, evidence, sim)
 			})
-		out = append(out, res.maps...)
-		tr.AddMatches(res.matches)
-		if s.rec != nil || tr != nil {
-			s.noteScan(tr, stageAppSpecific, "method_phrases", phraseText,
-				len(info.MethodPhrases), res.scan)
-		}
+		e.scanned("method_phrases", prep.text, len(info.MethodPhrases), sc)
 	}
-	return out
+	return e.out
 }
 
 // --- §4.1.2 GUI -----------------------------------------------------------------
@@ -180,34 +206,19 @@ var issueNouns = map[string]struct{}{
 
 // localizeGUI maps GUI-related noun phrases and vague-error patterns to the
 // activities whose visible/invisible labels mention them.
-func (s *Solver) localizeGUI(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	out := s.guiNounPhrases(ra, info, tr)
+func (s *Solver) localizeGUI(e emitter, in localizeInput) []Mapping {
+	s.guiNounPhrases(&e, in.ra, in.info)
 	// Verb phrases against invisible widget-id phrases ("show password").
-	for vi := range ra.VerbPhrases {
-		prep := s.fe.prep(s, ra.vpKey(vi), ra.VerbPhrases[vi])
-		out = append(out, s.matchInvisible(prep, info, tr)...)
+	for vi := range in.ra.VerbPhrases {
+		s.matchInvisible(&e, s.fe.prep(s, in.ra.vpKey(vi), in.ra.VerbPhrases[vi]), in.info)
 	}
-	return append(out, s.guiPatterns(ra, info, tr)...)
-}
-
-// visibleLabelMatch records one activity whose visible labels contain a
-// searched word.
-func (s *Solver) visibleLabelMatch(tr *obs.ReviewTrace, phraseText, activity, evidence string) Mapping {
-	s.simHist().Observe(1)
-	if tr != nil {
-		tr.AddMatch(obs.MatchTrace{
-			Phrase: phraseText, Class: activity,
-			Stage: stageGUI, Source: "visible label", Evidence: evidence,
-			Similarity: 1,
-		})
-	}
-	return Mapping{Phrase: phraseText, Class: activity, Context: ctxinfo.GUI, Evidence: evidence}
+	s.guiPatterns(&e, in.ra, in.info)
+	return e.out
 }
 
 // guiNounPhrases handles the noun-phrase cases of §4.1.2: explicit widget
 // mentions and implicit issue mentions.
-func (s *Solver) guiNounPhrases(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
+func (s *Solver) guiNounPhrases(e *emitter, ra *ReviewAnalysis, info *StaticInfo) {
 	for ni := range ra.NounPhrases {
 		np := &ra.NounPhrases[ni]
 		// Case (1): explicit widget mention — the modifier words name the
@@ -218,9 +229,9 @@ func (s *Solver) guiNounPhrases(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Re
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					out = append(out, s.visibleLabelMatch(tr, ra.npKey(ni), activity, "visible label contains "+mod))
+					e.match(ra.npKey(ni), activity, "", "visible label", "visible label contains "+mod, 1)
 				}
-				out = append(out, s.matchInvisibleWord(ra.npKey(ni), mod, info, tr)...)
+				s.matchInvisibleWord(e, ra.npKey(ni), mod, info)
 			}
 		}
 		// Case (2): implicit issue mention ("certificate issues") — search
@@ -231,73 +242,48 @@ func (s *Solver) guiNounPhrases(ra *ReviewAnalysis, info *StaticInfo, tr *obs.Re
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					out = append(out, s.visibleLabelMatch(tr, ra.npKey(ni), activity, "visible label contains "+mod))
+					e.match(ra.npKey(ni), activity, "", "visible label", "visible label contains "+mod, 1)
 				}
 			}
 		}
 	}
-	return out
 }
 
 // guiPatterns looks the function words of vague-error patterns (Table 5)
 // up in the visible labels.
-func (s *Solver) guiPatterns(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
+func (s *Solver) guiPatterns(e *emitter, ra *ReviewAnalysis, info *StaticInfo) {
 	for _, pm := range ra.Patterns {
 		for _, fn := range pm.Function {
 			if textproc.IsStopword(fn) {
 				continue
 			}
 			for _, activity := range gui.FindByVisibleWord(info.GUIs, fn) {
-				out = append(out, s.visibleLabelMatch(tr, strings.Join(pm.Function, " "), activity,
-					pm.Pattern.String()+" function word "+fn))
+				e.match(strings.Join(pm.Function, " "), activity, "", "visible label",
+					pm.Pattern.String()+" function word "+fn, 1)
 			}
 		}
 	}
-	return out
 }
 
 // matchInvisible compares a review phrase against the expanded widget-id
 // phrases of each activity by scanning the flattened widget-id matrix (rows
 // in nested GUI×widget order). The content-word vector's prescreen query
 // comes precomputed on the cached phrase prep.
-func (s *Solver) matchInvisible(prep *phrasePrep, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	phraseText := prep.text
-	simHist := s.simHist()
+func (s *Solver) matchInvisible(e *emitter, prep *phrasePrep, info *StaticInfo) {
 	sc := info.invisibleMatrix.ScanThresholdCount(&prep.contentQ, s.vec.Threshold(), 0, info.invisibleMatrix.Rows(),
 		func(row int, sim float64) {
 			ref := info.invisibleRows[row]
 			g := &info.GUIs[ref.GUI]
-			evidence := "widget id " + g.WidgetIDs[ref.Widget]
-			out = append(out, Mapping{
-				Phrase:   phraseText,
-				Class:    g.Activity,
-				Context:  ctxinfo.GUI,
-				Evidence: evidence,
-			})
-			simHist.Observe(sim)
-			if tr != nil {
-				tr.AddMatch(obs.MatchTrace{
-					Phrase: phraseText, Class: g.Activity,
-					Stage: stageGUI, Source: "widget id", Evidence: evidence,
-					Similarity: sim,
-				})
-			}
+			e.match(prep.text, g.Activity, "", "widget id", "widget id "+g.WidgetIDs[ref.Widget], sim)
 		})
-	if s.rec != nil || tr != nil {
-		s.noteScan(tr, stageGUI, "widget_ids", phraseText, info.invisibleMatrix.Rows(), sc)
-	}
-	return out
+	e.scanned("widget_ids", prep.text, info.invisibleMatrix.Rows(), sc)
 }
 
 // matchInvisibleWord searches one widget-purpose word ("reply") across the
 // expanded widget-id words of each activity (§4.1.2 case 1: "we search the
 // word 'reply' that modifies the 'button' in the information related to
 // each GUI component").
-func (s *Solver) matchInvisibleWord(phraseText, word string, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	simHist := s.simHist()
+func (s *Solver) matchInvisibleWord(e *emitter, phraseText, word string, info *StaticInfo) {
 	for gi := range info.GUIs {
 		g := &info.GUIs[gi]
 		for wi, idWords := range g.InvisibleWords {
@@ -314,27 +300,11 @@ func (s *Solver) matchInvisibleWord(phraseText, word string, info *StaticInfo, t
 					}
 				}
 			}
-			if !matched {
-				continue
-			}
-			evidence := "widget id " + g.WidgetIDs[wi]
-			out = append(out, Mapping{
-				Phrase:   phraseText,
-				Class:    g.Activity,
-				Context:  ctxinfo.GUI,
-				Evidence: evidence,
-			})
-			simHist.Observe(sim)
-			if tr != nil {
-				tr.AddMatch(obs.MatchTrace{
-					Phrase: phraseText, Class: g.Activity,
-					Stage: stageGUI, Source: "widget id", Evidence: evidence,
-					Similarity: sim,
-				})
+			if matched {
+				e.match(phraseText, g.Activity, "", "widget id", "widget id "+g.WidgetIDs[wi], sim)
 			}
 		}
 	}
-	return out
 }
 
 func contentOnly(words []string) []string {
@@ -351,10 +321,8 @@ func contentOnly(words []string) []string {
 
 // localizeErrorMessage matches quoted error messages against the app's
 // message strings, and error-type noun phrases against API descriptions.
-func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	simHist := s.simHist()
-
+func (s *Solver) localizeErrorMessage(e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	// Precise messages: quoted spans matched by normalized containment. The
 	// app messages are normalized once at extraction time (the seed
 	// retokenized every message per quoted span).
@@ -370,21 +338,7 @@ func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *
 				continue
 			}
 			for _, cls := range msg.Classes {
-				evidence := "app message " + msg.Text
-				out = append(out, Mapping{
-					Phrase:   quoted,
-					Class:    cls,
-					Context:  ctxinfo.ErrorMessage,
-					Evidence: evidence,
-				})
-				simHist.Observe(1)
-				if tr != nil {
-					tr.AddMatch(obs.MatchTrace{
-						Phrase: quoted, Class: cls,
-						Stage: stageErrorMessage, Source: "app message", Evidence: evidence,
-						Similarity: 1,
-					})
-				}
+				e.match(quoted, cls, "", "app message", "app message "+msg.Text, 1)
 			}
 		}
 	}
@@ -394,11 +348,7 @@ func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *
 	// extraction time (the seed re-ran textproc.Words per (modifier, API)
 	// pair).
 	for ni := range ra.NounPhrases {
-		mods := phrase.ErrorModifier(ra.NounPhrases[ni])
-		if len(mods) == 0 {
-			continue
-		}
-		for _, mod := range mods {
+		for _, mod := range phrase.ErrorModifier(ra.NounPhrases[ni]) {
 			for ai := range info.APIs {
 				use := &info.APIs[ai]
 				sim, ok := descriptionMention(info.descWords[ai], mod, s.vec)
@@ -406,26 +356,12 @@ func (s *Solver) localizeErrorMessage(ra *ReviewAnalysis, info *StaticInfo, tr *
 					continue
 				}
 				for _, cls := range use.Classes {
-					evidence := "API description " + use.API.Signature()
-					out = append(out, Mapping{
-						Phrase:   ra.npKey(ni),
-						Class:    cls,
-						Context:  ctxinfo.ErrorMessage,
-						Evidence: evidence,
-					})
-					simHist.Observe(sim)
-					if tr != nil {
-						tr.AddMatch(obs.MatchTrace{
-							Phrase: ra.npKey(ni), Class: cls,
-							Stage: stageErrorMessage, Source: "API description", Evidence: evidence,
-							Similarity: sim,
-						})
-					}
+					e.match(ra.npKey(ni), cls, "", "API description", "API description "+use.API.Signature(), sim)
 				}
 			}
 		}
 	}
-	return out
+	return e.out
 }
 
 func normalizeMessage(s string) string {
@@ -459,7 +395,8 @@ var lifecycleMethods = []string{"onCreate", "onStart", "onResume"}
 
 // localizeOpeningApp recommends the starting activity's lifecycle methods
 // for launch-time errors.
-func (s *Solver) localizeOpeningApp(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
+func (s *Solver) localizeOpeningApp(e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	if info.StartingActivity == "" {
 		return nil
 	}
@@ -499,56 +436,24 @@ func (s *Solver) localizeOpeningApp(ra *ReviewAnalysis, info *StaticInfo, tr *ob
 	if !match {
 		return nil
 	}
-	simHist := s.simHist()
-	out := make([]Mapping, 0, len(lifecycleMethods))
 	for _, m := range lifecycleMethods {
-		out = append(out, Mapping{
-			Phrase:   trigger,
-			Class:    info.StartingActivity,
-			Method:   m,
-			Context:  ctxinfo.OpeningApp,
-			Evidence: "starting activity lifecycle",
-		})
-		simHist.Observe(1)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: trigger, Class: info.StartingActivity, Method: m,
-				Stage: stageOpeningApp, Source: "starting activity",
-				Evidence: "starting activity lifecycle", Similarity: 1,
-			})
-		}
+		e.match(trigger, info.StartingActivity, m, "starting activity", "starting activity lifecycle", 1)
 	}
-	return out
+	return e.out
 }
 
 // --- §4.1.5 Account registration --------------------------------------------------
 
 // localizeRegistration recommends the registration/login activities for
 // account errors.
-func (s *Solver) localizeRegistration(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	if !mentionsRegistration(ra) {
+func (s *Solver) localizeRegistration(e emitter, in localizeInput) []Mapping {
+	if !mentionsRegistration(in.ra) {
 		return nil
 	}
-	activities := gui.FindRegistrationActivities(info.GUIs)
-	simHist := s.simHist()
-	out := make([]Mapping, 0, len(activities))
-	for _, a := range activities {
-		out = append(out, Mapping{
-			Phrase:   "account registration",
-			Class:    a,
-			Context:  ctxinfo.RegisteringAccount,
-			Evidence: "registration activity",
-		})
-		simHist.Observe(1)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: "account registration", Class: a,
-				Stage: stageRegistration, Source: "registration activity",
-				Evidence: "registration activity", Similarity: 1,
-			})
-		}
+	for _, a := range gui.FindRegistrationActivities(in.info.GUIs) {
+		e.match("account registration", a, "", "registration activity", "registration activity", 1)
 	}
-	return out
+	return e.out
 }
 
 func mentionsRegistration(ra *ReviewAnalysis) bool {
@@ -591,12 +496,13 @@ var updateCues = []string{
 // produced mappings those stand (the paper checks the other phrases first);
 // otherwise it recommends the classes changed between the two latest
 // versions.
-func (s *Solver) localizeUpdate(ra *ReviewAnalysis, existing []Mapping, previous, current *apk.Release, tr *obs.ReviewTrace) []Mapping {
+func (s *Solver) localizeUpdate(e emitter, in localizeInput) []Mapping {
+	previous, current := in.previous, in.current
 	if previous == nil || current == nil {
 		return nil
 	}
 	mentioned := false
-	for _, sent := range ra.Sentences {
+	for _, sent := range in.ra.Sentences {
 		lower := strings.ToLower(sent)
 		for _, cue := range updateCues {
 			if strings.Contains(lower, cue) {
@@ -605,29 +511,13 @@ func (s *Solver) localizeUpdate(ra *ReviewAnalysis, existing []Mapping, previous
 			}
 		}
 	}
-	if !mentioned || len(existing) > 0 {
+	if !mentioned || len(in.earlier) > 0 {
 		return nil
 	}
-	simHist := s.simHist()
-	var out []Mapping
 	for _, cls := range apk.DiffClasses(previous, current) {
-		evidence := "changed between " + previous.Version + " and " + current.Version
-		out = append(out, Mapping{
-			Phrase:   "app update",
-			Class:    cls,
-			Context:  ctxinfo.UpdatingApp,
-			Evidence: evidence,
-		})
-		simHist.Observe(1)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: "app update", Class: cls,
-				Stage: stageUpdate, Source: "version diff", Evidence: evidence,
-				Similarity: 1,
-			})
-		}
+		e.match("app update", cls, "", "version diff", "changed between "+previous.Version+" and "+current.Version, 1)
 	}
-	return out
+	return e.out
 }
 
 // --- §4.2.1 API / URI / intent (Algorithm 1) --------------------------------------
@@ -642,78 +532,52 @@ var collectionVerbs = map[string]struct{}{
 // localizeAPIURIIntent implements Algorithm 1: verb phrases against API
 // phrases, verb-phrase objects against URI nouns and intent nouns. The
 // whole-catalog API scan — the dominant Table 15 cost — walks the flattened
-// catalog matrix with the dot-only kernel and anchor prescreen, chunked
-// across workers with a deterministic candidate-order merge. The
+// catalog matrix with the dot-only kernel and anchor prescreen. The
 // permission-noun and URI/intent-noun vectors are cached at
 // construction/extraction time.
-func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
+func (s *Solver) localizeAPIURIIntent(e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	table := s.catalogVecs()
 	threshold := s.vec.Threshold()
-	simHist := s.simHist()
 	for vi := range ra.VerbPhrases {
 		vp := ra.VerbPhrases[vi]
 		prep := s.fe.prep(s, ra.vpKey(vi), vp)
 		phraseText := prep.text
 		_, isCollect := collectionVerbs[vp.Verb]
-		hasObject := prep.hasObj
 		objVec := prep.objVec
-		q := &prep.q
 
 		// APIs (Algorithm 1 lines 3–10): the comparison runs over the whole
 		// documented catalog and a match is reported only when the app
 		// actually invokes the API.
-		res := parallelChunks(len(table.entries), s.parallelism,
-			func(start, end int) scanChunk {
-				var ck scanChunk
-				for ei := start; ei < end; ei++ {
-					entry := &table.entries[ei]
-					source := "API"
-					matched, esc := table.matrix.AnyAtLeastCount(q, threshold,
-						int(table.rowStart[ei]), int(table.rowStart[ei+1]))
-					ck.scan.Merge(esc)
-					sim := 0.0
-					if matched {
-						sim = threshold // AnyAtLeast stops at the hit; record the floor
-					}
-					// Permission-protected personal data: collection verb +
-					// object similar to the permission nouns (cached per
-					// entry — the seed re-derived them per phrase×entry).
-					if !matched && isCollect && hasObject && len(entry.permNouns) > 0 {
-						if psim := wordvec.Dot(objVec, entry.permVec); psim >= threshold {
-							matched, sim, source = true, psim, "permission"
-						}
-					}
-					if !matched {
-						continue
-					}
-					for _, cls := range info.APIClasses(entry.api.Class, entry.api.Method) {
-						evidence := "API " + entry.api.Signature()
-						ck.maps = append(ck.maps, Mapping{
-							Phrase:   phraseText,
-							Class:    cls,
-							Context:  ctxinfo.APIURIIntent,
-							Evidence: evidence,
-						})
-						simHist.Observe(sim)
-						if tr != nil {
-							ck.matches = append(ck.matches, obs.MatchTrace{
-								Phrase: phraseText, Class: cls,
-								Stage: stageAPIURIIntent, Source: source, Evidence: evidence,
-								Similarity: sim,
-							})
-						}
-					}
+		var sc wordvec.ScanCount
+		for ei := range table.entries {
+			entry := &table.entries[ei]
+			source := "API"
+			matched, esc := table.matrix.AnyAtLeastCount(&prep.q, threshold,
+				int(table.rowStart[ei]), int(table.rowStart[ei+1]))
+			sc.Merge(esc)
+			sim := 0.0
+			if matched {
+				sim = threshold // AnyAtLeast stops at the hit; record the floor
+			}
+			// Permission-protected personal data: collection verb + object
+			// similar to the permission nouns (cached per entry — the seed
+			// re-derived them per phrase×entry).
+			if !matched && isCollect && prep.hasObj && len(entry.permNouns) > 0 {
+				if psim := wordvec.Dot(objVec, entry.permVec); psim >= threshold {
+					matched, sim, source = true, psim, "permission"
 				}
-				return ck
-			})
-		out = append(out, res.maps...)
-		tr.AddMatches(res.matches)
-		if s.rec != nil || tr != nil {
-			s.noteScan(tr, stageAPIURIIntent, "catalog", phraseText, table.matrix.Rows(), res.scan)
+			}
+			if !matched {
+				continue
+			}
+			for _, cls := range info.APIClasses(entry.api.Class, entry.api.Method) {
+				e.match(phraseText, cls, "", source, "API "+entry.api.Signature(), sim)
+			}
 		}
+		e.scanned("catalog", phraseText, table.matrix.Rows(), sc)
 
-		if !hasObject {
+		if !prep.hasObj {
 			continue
 		}
 
@@ -728,21 +592,7 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 				continue
 			}
 			for _, cls := range use.Classes {
-				evidence := "URI " + use.URI.URI
-				out = append(out, Mapping{
-					Phrase:   phraseText,
-					Class:    cls,
-					Context:  ctxinfo.APIURIIntent,
-					Evidence: evidence,
-				})
-				simHist.Observe(sim)
-				if tr != nil {
-					tr.AddMatch(obs.MatchTrace{
-						Phrase: phraseText, Class: cls,
-						Stage: stageAPIURIIntent, Source: "URI", Evidence: evidence,
-						Similarity: sim,
-					})
-				}
+				e.match(phraseText, cls, "", "URI", "URI "+use.URI.URI, sim)
 			}
 		}
 
@@ -760,52 +610,23 @@ func (s *Solver) localizeAPIURIIntent(ra *ReviewAnalysis, info *StaticInfo, tr *
 				continue
 			}
 			for _, cls := range use.Classes {
-				evidence := "intent " + use.Action
-				out = append(out, Mapping{
-					Phrase:   phraseText,
-					Class:    cls,
-					Context:  ctxinfo.APIURIIntent,
-					Evidence: evidence,
-				})
-				simHist.Observe(sim)
-				if tr != nil {
-					tr.AddMatch(obs.MatchTrace{
-						Phrase: phraseText, Class: cls,
-						Stage: stageAPIURIIntent, Source: "intent", Evidence: evidence,
-						Similarity: sim,
-					})
-				}
+				e.match(phraseText, cls, "", "intent", "intent "+use.Action, sim)
 			}
 		}
 	}
-	return out
+	return e.out
 }
 
 // --- §4.2.2 General task (Algorithm 2) ---------------------------------------------
 
 // localizeGeneralTask looks the verb phrase up in the Q&A index, takes the
 // top-k framework APIs, and recommends the classes calling them.
-func (s *Solver) localizeGeneralTask(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	simHist := s.simHist()
+func (s *Solver) localizeGeneralTask(e emitter, in localizeInput) []Mapping {
+	ra := in.ra
 	query := func(phraseText string, words []string) {
 		for _, ref := range s.qaIndex.TopAPIs(words, 5) {
-			for _, cls := range info.Graph.ClassesCalling(ref.Class, ref.Method) {
-				evidence := "Q&A task API " + ref.Key()
-				out = append(out, Mapping{
-					Phrase:   phraseText,
-					Class:    cls,
-					Context:  ctxinfo.GeneralTask,
-					Evidence: evidence,
-				})
-				simHist.Observe(1)
-				if tr != nil {
-					tr.AddMatch(obs.MatchTrace{
-						Phrase: phraseText, Class: cls,
-						Stage: stageGeneralTask, Source: "Q&A task API", Evidence: evidence,
-						Similarity: 1,
-					})
-				}
+			for _, cls := range in.info.Graph.ClassesCalling(ref.Class, ref.Method) {
+				e.match(phraseText, cls, "", "Q&A task API", "Q&A task API "+ref.Key(), 1)
 			}
 		}
 	}
@@ -820,7 +641,7 @@ func (s *Solver) localizeGeneralTask(ra *ReviewAnalysis, info *StaticInfo, tr *o
 			query(ra.npKey(ni), append(append([]string(nil), mods...), "error"))
 		}
 	}
-	return out
+	return e.out
 }
 
 // --- §4.2.3 Exception ---------------------------------------------------------------
@@ -828,26 +649,8 @@ func (s *Solver) localizeGeneralTask(ra *ReviewAnalysis, info *StaticInfo, tr *o
 // localizeException maps "<type> exception" noun phrases to the classes
 // calling framework APIs that throw matching exceptions, and to developer
 // methods that catch them.
-func (s *Solver) localizeException(ra *ReviewAnalysis, info *StaticInfo, tr *obs.ReviewTrace) []Mapping {
-	var out []Mapping
-	simHist := s.simHist()
-	add := func(phraseText, cls, method, source, evidence string) {
-		out = append(out, Mapping{
-			Phrase:   phraseText,
-			Class:    cls,
-			Method:   method,
-			Context:  ctxinfo.Exception,
-			Evidence: evidence,
-		})
-		simHist.Observe(1)
-		if tr != nil {
-			tr.AddMatch(obs.MatchTrace{
-				Phrase: phraseText, Class: cls, Method: method,
-				Stage: stageException, Source: source, Evidence: evidence,
-				Similarity: 1,
-			})
-		}
-	}
+func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	for ni := range ra.NounPhrases {
 		words := phrase.ExceptionType(ra.NounPhrases[ni])
 		if len(words) == 0 {
@@ -861,8 +664,7 @@ func (s *Solver) localizeException(ra *ReviewAnalysis, info *StaticInfo, tr *obs
 					continue
 				}
 				for _, cls := range use.Classes {
-					add(npText, cls, "", "API exception",
-						"API "+use.API.Signature()+" throws "+ex)
+					e.match(npText, cls, "", "API exception", "API "+use.API.Signature()+" throws "+ex, 1)
 				}
 			}
 		}
@@ -875,16 +677,16 @@ func (s *Solver) localizeException(ra *ReviewAnalysis, info *StaticInfo, tr *obs
 			if !exceptionMatches(site.Exception, words) {
 				continue
 			}
-			add(npText, site.Site.Class(), site.Site.Method.Name,
-				"exception handler", "handles "+site.Exception)
+			e.match(npText, site.Site.Class(), site.Site.Method.Name,
+				"exception handler", "handles "+site.Exception, 1)
 			for _, caller := range info.Graph.Callers(site.Site.Method.QualifiedName()) {
 				cls, method := splitQualified(caller)
-				add(npText, cls, method, "exception handler caller",
-					"calls "+site.Site.Method.Name+" which handles "+site.Exception)
+				e.match(npText, cls, method, "exception handler caller",
+					"calls "+site.Site.Method.Name+" which handles "+site.Exception, 1)
 			}
 		}
 	}
-	return out
+	return e.out
 }
 
 // splitQualified splits "pkg.Class.method" into class and method parts.

@@ -78,11 +78,10 @@ func (s *Solver) simHist() *obs.Histogram {
 	return s.rec.Histogram(metricMatchSimilarity, obs.SimilarityBuckets)
 }
 
-// noteScan folds one merged phrase×matrix scan count into the registry
-// counters and the explain trace. The counts arrive already aggregated
-// across worker chunks (each chunk tallies locally and the merge happens
-// after the chunks join), so no scan bookkeeping is shared between
-// goroutines — race-safe by construction under Pool and WithParallelism.
+// noteScan folds one phrase×matrix scan count into the registry counters
+// and the explain trace. Each scan runs on the goroutine localizing its
+// review and tallies its counts locally, so the only state Pool workers
+// share here is the registry's atomic counters.
 func (s *Solver) noteScan(tr *obs.ReviewTrace, stage, matrix, phrase string, rows int, sc wordvec.ScanCount) {
 	if s.rec != nil {
 		s.rec.Counter(metricPrescreenPruned).Add(int64(sc.Pruned))

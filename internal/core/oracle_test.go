@@ -14,9 +14,10 @@ import (
 // Algorithm 1) is re-implemented here as a plain loop that re-embeds every
 // candidate from its words — method phrase, widget-id word list, catalog
 // API phrase, permission, URI and intent nouns — and compares it with
-// wordvec.Cosine: no matrix, no prescreen, no precomputed vector. The other
-// localizers, the dedup and the ranking run through the solver itself, so a
-// divergence always points at a scan path.
+// wordvec.Cosine: no matrix, no prescreen, no precomputed vector. The oracle
+// walks the solver's localizer table with those three entries swapped in;
+// the other localizers, the dedup and the ranking run through the solver
+// itself, so a divergence always points at a scan path.
 type cosineOracle struct{ s *Solver }
 
 // LocalizeReview mirrors Solver.LocalizeReview without telemetry.
@@ -38,15 +39,11 @@ func (o cosineOracle) LocalizeReview(app *apk.App, text string, publishedAt time
 	res.Analysis = s.AnalyzeReview(text)
 
 	var out []Mapping
-	out = append(out, o.appSpecific(res.Analysis, info)...)
-	out = append(out, o.gui(res.Analysis, info)...)
-	out = append(out, s.localizeErrorMessage(res.Analysis, info, nil)...)
-	out = append(out, s.localizeOpeningApp(res.Analysis, info, nil)...)
-	out = append(out, s.localizeRegistration(res.Analysis, info, nil)...)
-	out = append(out, o.apiURIIntent(res.Analysis, info)...)
-	out = append(out, s.localizeGeneralTask(res.Analysis, info, nil)...)
-	out = append(out, s.localizeException(res.Analysis, info, nil)...)
-	out = append(out, s.localizeUpdate(res.Analysis, out, previous, current, nil)...)
+	in := localizeInput{ra: res.Analysis, info: info, previous: previous, current: current}
+	for _, l := range o.localizers() {
+		in.earlier = out
+		out = append(out, l.run(s, nil, in)...)
+	}
 	res.Mappings = dedupMappings(out)
 
 	var changed map[string]struct{}
@@ -59,15 +56,29 @@ func (o cosineOracle) LocalizeReview(app *apk.App, text string, publishedAt time
 
 // LocalizeByContext mirrors Solver.LocalizeByContext.
 func (o cosineOracle) LocalizeByContext(ctx ctxinfo.Type, ra *ReviewAnalysis, info *StaticInfo, previous, current *apk.Release) []Mapping {
-	switch ctx {
-	case ctxinfo.AppSpecificTask:
-		return o.appSpecific(ra, info)
-	case ctxinfo.GUI:
-		return o.gui(ra, info)
-	case ctxinfo.APIURIIntent:
-		return o.apiURIIntent(ra, info)
+	for _, l := range o.localizers() {
+		if l.ctx == ctx {
+			return l.run(o.s, nil, localizeInput{ra: ra, info: info, previous: previous, current: current})
+		}
 	}
-	return o.s.LocalizeByContext(ctx, ra, info, previous, current)
+	return nil
+}
+
+// localizers is the solver's localizer table with the brute-force loops
+// in place of the three vector-driven entries.
+func (o cosineOracle) localizers() [len(localizers)]localizer {
+	swap := map[ctxinfo.Type]func(*Solver, emitter, localizeInput) []Mapping{
+		ctxinfo.AppSpecificTask: o.appSpecific,
+		ctxinfo.GUI:             o.gui,
+		ctxinfo.APIURIIntent:    o.apiURIIntent,
+	}
+	table := localizers
+	for i := range table {
+		if fn, ok := swap[table[i].ctx]; ok {
+			table[i].fn = fn
+		}
+	}
+	return table
 }
 
 // similar is the oracle's only comparison: the full cosine of two phrases
@@ -76,7 +87,8 @@ func (o cosineOracle) similar(a, b []string) bool {
 	return wordvec.Cosine(o.s.vec.PhraseVector(a), o.s.vec.PhraseVector(b)) >= o.s.vec.Threshold()
 }
 
-func (o cosineOracle) appSpecific(ra *ReviewAnalysis, info *StaticInfo) []Mapping {
+func (o cosineOracle) appSpecific(_ *Solver, _ emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
 	var out []Mapping
 	for vi := range ra.VerbPhrases {
 		words := ra.VerbPhrases[vi].Words()
@@ -95,8 +107,11 @@ func (o cosineOracle) appSpecific(ra *ReviewAnalysis, info *StaticInfo) []Mappin
 	return out
 }
 
-func (o cosineOracle) gui(ra *ReviewAnalysis, info *StaticInfo) []Mapping {
-	out := o.s.guiNounPhrases(ra, info, nil)
+// gui runs the solver's exact-word label searches through e and the
+// brute-force widget-id loop in between, in the solver's order.
+func (o cosineOracle) gui(_ *Solver, e emitter, in localizeInput) []Mapping {
+	ra, info := in.ra, in.info
+	o.s.guiNounPhrases(&e, ra, info)
 	for vi := range ra.VerbPhrases {
 		content := contentOnly(ra.VerbPhrases[vi].Words())
 		for _, g := range info.GUIs {
@@ -104,16 +119,17 @@ func (o cosineOracle) gui(ra *ReviewAnalysis, info *StaticInfo) []Mapping {
 				if len(idWords) == 0 || !o.similar(content, idWords) {
 					continue
 				}
-				out = append(out, Mapping{Phrase: ra.vpKey(vi), Class: g.Activity,
+				e.out = append(e.out, Mapping{Phrase: ra.vpKey(vi), Class: g.Activity,
 					Context: ctxinfo.GUI, Evidence: "widget id " + g.WidgetIDs[wi]})
 			}
 		}
 	}
-	return append(out, o.s.guiPatterns(ra, info, nil)...)
+	o.s.guiPatterns(&e, ra, info)
+	return e.out
 }
 
-func (o cosineOracle) apiURIIntent(ra *ReviewAnalysis, info *StaticInfo) []Mapping {
-	s := o.s
+func (o cosineOracle) apiURIIntent(_ *Solver, _ emitter, in localizeInput) []Mapping {
+	s, ra, info := o.s, in.ra, in.info
 	var out []Mapping
 	add := func(phraseText string, classes []string, evidence string) {
 		for _, cls := range classes {

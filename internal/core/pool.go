@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"time"
 
@@ -45,6 +46,19 @@ func NewPoolWithSnapshot(n int, sn *Snapshot) *Pool {
 		snap:    sn,
 		solver:  NewWithSnapshot(sn),
 		workers: normalizeWorkers(n),
+	}
+}
+
+// normalizeWorkers maps a requested worker count to an effective one:
+// 0 means runtime.NumCPU(), negative means strictly sequential.
+func normalizeWorkers(n int) int {
+	switch {
+	case n == 0:
+		return runtime.NumCPU()
+	case n < 0:
+		return 1
+	default:
+		return n
 	}
 }
 

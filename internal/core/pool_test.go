@@ -7,6 +7,18 @@ import (
 	"reviewsolver/internal/synth"
 )
 
+func TestNormalizeWorkers(t *testing.T) {
+	if got := normalizeWorkers(-5); got != 1 {
+		t.Errorf("normalizeWorkers(-5) = %d, want 1", got)
+	}
+	if got := normalizeWorkers(3); got != 3 {
+		t.Errorf("normalizeWorkers(3) = %d, want 3", got)
+	}
+	if got := normalizeWorkers(0); got < 1 {
+		t.Errorf("normalizeWorkers(0) = %d, want >= 1", got)
+	}
+}
+
 func poolInputs(n int) ([]*synth.AppData, []ReviewInput) {
 	data := synth.GenerateSample(21)
 	inputs := make([]ReviewInput, 0, n)

@@ -49,11 +49,11 @@ func loadTemplate() *Solver {
 
 // LoadSnapshot reads a .snap file written by SaveSnapshot / cmd/snapshotc
 // and reconstructs the Snapshot plus the app IR it embeds. Options apply to
-// the snapshot's template solver (WithClassifier, WithParallelism,
-// WithObserver are the expected ones); options that replace the embedding
-// model or vocabulary are incompatible with the precomputed state and must
-// not be passed. Corrupt input returns a typed snapfile error; a valid file
-// from a different build returns ErrSnapshotIncompatible.
+// the snapshot's template solver (WithClassifier and WithObserver are the
+// expected ones); options that replace the embedding model or vocabulary
+// are incompatible with the precomputed state and must not be passed.
+// Corrupt input returns a typed snapfile error; a valid file from a
+// different build returns ErrSnapshotIncompatible.
 func LoadSnapshot(path string, opts ...Option) (*Snapshot, *apk.App, error) {
 	r, err := snapfile.OpenFile(path)
 	if err != nil {

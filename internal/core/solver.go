@@ -33,14 +33,6 @@ type Solver struct {
 	classifier textclass.Classifier
 	vectorizer *textclass.Vectorizer
 
-	// summarizeAll adds Code2vec phrases for every method, not only the
-	// obfuscated ones.
-	summarizeAll bool
-
-	// parallelism bounds the fan-out of the phrase×candidate matching
-	// loops (§4.1.1 and Algorithm 1). 1 means strictly sequential.
-	parallelism int
-
 	// rec receives spans, counters, and histograms from the pipeline. Nil
 	// (the default) disables all metric/span emission: every hook is
 	// nil-safe, so the hot path pays only nil checks.
@@ -95,7 +87,7 @@ type catalogAPI struct {
 // catalogTable is the full-catalog scan structure: the per-API entries plus
 // every describing-phrase vector flattened into one contiguous matrix.
 // rowStart[i]..rowStart[i+1] are entry i's rows, so the kernel scan walks a
-// dense block while chunking still happens on entry boundaries.
+// dense block while Algorithm 1 still stops at each entry's first hit.
 type catalogTable struct {
 	entries  []catalogAPI
 	matrix   *wordvec.Matrix
@@ -158,12 +150,6 @@ func WithSummarizer(m *code2vec.Model) Option {
 	return func(s *Solver) { s.summarizer = m }
 }
 
-// WithSummarizeAll generates Code2vec phrases for every method, matching
-// the paper's configuration where summaries complement raw names (§4.1.1).
-func WithSummarizeAll() Option {
-	return func(s *Solver) { s.summarizeAll = true }
-}
-
 // WithWordModel overrides the word-embedding model (ablations use it to
 // compare semantic matching against near-exact thresholds). Installing a
 // different model detaches the solver from any shared Snapshot, whose
@@ -178,14 +164,6 @@ func WithWordModel(m *wordvec.Model) Option {
 			s.staticCache = make(map[*apk.Release]*StaticInfo)
 		}
 	}
-}
-
-// WithParallelism bounds the worker fan-out of the inner phrase×candidate
-// matching loops. n == 0 means runtime.NumCPU(); n < 0 (like n == 1) means
-// strictly sequential. The parallel path merges chunk results
-// deterministically, so rankings are identical to the sequential path.
-func WithParallelism(n int) Option {
-	return func(s *Solver) { s.parallelism = normalizeWorkers(n) }
 }
 
 // WithChangeAwareRank ranks candidate classes that changed between the
@@ -246,7 +224,6 @@ func New(opts ...Option) *Solver {
 		sentiment:   sentiment.SentiStrength{},
 		qaIndex:     qa.NewIndex(catalog, qa.GenerateCorpus(catalog)),
 		staticCache: make(map[*apk.Release]*StaticInfo),
-		parallelism: 1,
 	}
 	for _, opt := range opts {
 		opt(s)

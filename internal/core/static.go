@@ -426,10 +426,9 @@ func (info *StaticInfo) extractMethodPhrases(s *Solver, g *apg.Graph) {
 				Words:  phrase,
 			})
 		}
-		// Summarization: when the raw name is meaningless (obfuscated) or
-		// the summarizer is trained, add the predicted word bag as a
-		// second phrase.
-		if s.summarizer != nil && (len(phrase) == 0 || s.summarizeAll) {
+		// Summarization: when the raw name is meaningless (obfuscated), add
+		// the predicted word bag as a second phrase.
+		if s.summarizer != nil && len(phrase) == 0 {
 			if words := s.summarizer.Predict(m, 3); len(words) > 0 {
 				info.MethodPhrases = append(info.MethodPhrases, MethodPhrase{
 					Method:      m,

@@ -42,7 +42,6 @@ func TestNilSafety(t *testing.T) {
 	var tr *ReviewTrace
 	tr.AddStage("s", "", 0)
 	tr.AddMatch(MatchTrace{})
-	tr.AddMatches([]MatchTrace{{}})
 	tr.AddScan(ScanTrace{})
 	if tr.MatchesFor("x") != nil {
 		t.Error("nil trace MatchesFor returned entries")

@@ -17,10 +17,9 @@ const TraceSchemaVersion = 1
 // JSON encoding is byte-identical across runs (durations live in the
 // metrics registry and the span log instead).
 //
-// A ReviewTrace is filled by a single review's localization; it is not
-// safe for concurrent writers. The core pipeline collects chunk-local
-// match lists inside its worker fan-out and appends them here in
-// deterministic candidate order after the chunks join.
+// A ReviewTrace is filled by a single review's localization, on the one
+// goroutine running it, in deterministic candidate order; it is not safe
+// for concurrent writers.
 type ReviewTrace struct {
 	// SchemaVersion is TraceSchemaVersion at encode time.
 	SchemaVersion int `json:"schema_version"`
@@ -139,14 +138,6 @@ func (t *ReviewTrace) AddMatch(m MatchTrace) int {
 	}
 	t.Matches = append(t.Matches, m)
 	return len(t.Matches) - 1
-}
-
-// AddMatches appends a chunk of correlations in order. Nil-safe.
-func (t *ReviewTrace) AddMatches(ms []MatchTrace) {
-	if t == nil {
-		return
-	}
-	t.Matches = append(t.Matches, ms...)
 }
 
 // AddScan appends one scan record. Nil-safe.

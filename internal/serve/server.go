@@ -321,7 +321,6 @@ func (d *Daemon) admit(ctx context.Context, app string) (release func(), err err
 		}, nil
 	case <-ctx.Done():
 		leaveQueue()
-		d.met.Counter(metricDeadlines).Add(1)
 		return nil, fmt.Errorf("%w: while queued for %s: %w", ErrDeadline, app, ctx.Err())
 	}
 }
@@ -542,7 +541,6 @@ func (d *Daemon) handleLocalize(w http.ResponseWriter, r *http.Request) error {
 		got++
 	}
 	if got != len(inputs) {
-		d.met.Counter(metricDeadlines).Add(1)
 		return fmt.Errorf("%w: batch cancelled after %d/%d reviews: %w", ErrDeadline, got, len(inputs), ctx.Err())
 	}
 	d.met.Counter(metricReviews).Add(int64(got))
@@ -595,7 +593,6 @@ func (d *Daemon) fireRequestFault(ctx context.Context, app string) error {
 	case errors.Is(err, faultinject.ErrPanic):
 		panic(err) // contained by the endpoint middleware; chaos tests assert the 500
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		d.met.Counter(metricDeadlines).Add(1)
 		return fmt.Errorf("%w: mid-request: %w", ErrDeadline, err)
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrQuarantined), errors.Is(err, ErrSnapshotLoad):
 		return err
@@ -633,9 +630,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 
 // writeError renders a typed serving error: its mapped status, its stable
 // kind, and a Retry-After header when the error carries a backoff hint.
+// Every 504 passes through here, whichever layer ran out of time (admission
+// wait, snapshot load, mid-request, batch), so this is the one place that
+// counts serve_deadline_total.
 func (d *Daemon) writeError(w http.ResponseWriter, err error) {
 	d.met.Counter(metricErrors).Add(1)
 	detail := ErrorDetail{Kind: KindFor(err), Message: err.Error()}
+	if detail.Kind == "deadline" {
+		d.met.Counter(metricDeadlines).Add(1)
+	}
 	if after, ok := RetryAfterHint(err); ok {
 		secs := int64((after + time.Second - 1) / time.Second)
 		if secs < 1 {

@@ -353,7 +353,8 @@ func TestChaosLoadFailureIsolation(t *testing.T) {
 }
 
 // TestChaosSlowLoadDeadline: a load or a request slower than the request
-// timeout answers 504 with the deadline kind.
+// timeout answers 504 with the deadline kind, and serve_deadline_total
+// counts it whichever layer ran out of time.
 func TestChaosSlowLoadDeadline(t *testing.T) {
 	data, _ := sampleImage(t)
 	body := LocalizeRequest{App: "app.sample", Review: data.Reviews[0].Text}
@@ -364,6 +365,9 @@ func TestChaosSlowLoadDeadline(t *testing.T) {
 		w := td.do("POST", "/v1/localize", body)
 		if w.Code != http.StatusGatewayTimeout || errorKind(t, w) != "deadline" {
 			t.Fatalf("%s: slow = %d/%s, want 504/deadline", point, w.Code, errorKind(t, w))
+		}
+		if got := td.met.Counter(metricDeadlines).Value(); got != 1 {
+			t.Fatalf("%s: deadline_total = %d, want 1", point, got)
 		}
 		// The fault is exhausted; the same app serves fine on the next request.
 		w2 := td.do("POST", "/v1/localize", body)

@@ -193,7 +193,7 @@ func RowVectors(data []float64) ([]Vector, error) {
 
 // Query is a prepared scan query: the phrase vector plus its anchor
 // projections and residual norm, computed once and reused across every
-// candidate row (and across worker chunks).
+// candidate row.
 type Query struct {
 	Vec  Vector
 	proj []float64
@@ -232,14 +232,14 @@ func (m *Matrix) bound(q *Query, r int) float64 {
 // were skipped on the sketch bound alone, Evaluated rows paid a full dot
 // product, Matched rows crossed the threshold. Every per-row outcome is a
 // pure function of (model, query, row), so counts are exactly reproducible
-// and chunk-partition invariant — the telemetry layer aggregates them per
-// worker chunk and cmd/benchgate gates them to catch kernel regressions
-// without wall-clock noise.
+// and invariant under splitting the row range — the telemetry layer sums
+// them per review phrase and cmd/benchgate gates them to catch kernel
+// regressions without wall-clock noise.
 type ScanCount struct {
 	Pruned, Evaluated, Matched int
 }
 
-// Merge accumulates another chunk's counts.
+// Merge accumulates the counts of another scan, such as the next row range.
 func (c *ScanCount) Merge(o ScanCount) {
 	c.Pruned += o.Pruned
 	c.Evaluated += o.Evaluated
