@@ -275,13 +275,24 @@ func BenchmarkAppGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkReleaseDiff times the one-time cost of the release diff: the
+// first, unmemoized apk.DiffReleases of K-9's last release pair, plain and
+// padded 16× as perfbench's large_apps pads it. Each iteration diffs fresh
+// shallow copies of the two releases, so it builds both class indexes and
+// hashes every class, as the first update review after a load does.
 func BenchmarkReleaseDiff(b *testing.B) {
-	app := k9().App
-	prev := app.Releases[len(app.Releases)-2]
-	cur := app.Releases[len(app.Releases)-1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apk.DiffClasses(prev, cur)
+	plain := k9().App
+	for _, bc := range []struct {
+		name string
+		app  *apk.App
+	}{{"plain", plain}, {"padded16", synth.InflateApp(plain, 16)}} {
+		prev := bc.app.Releases[len(bc.app.Releases)-2]
+		cur := bc.app.Releases[len(bc.app.Releases)-1]
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				apk.DiffReleases(&apk.Release{Classes: prev.Classes}, &apk.Release{Classes: cur.Classes})
+			}
+		})
 	}
 }
 

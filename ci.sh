@@ -39,9 +39,10 @@ run_step() {
 		;;
 	race)
 		# The packages whose values are shared across goroutines: snapshots,
-		# the trained classifier, the Q&A index, the telemetry registry and
-		# the serving daemon (its chaos suite and TestServeSmoke).
-		go test -race ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
+		# the app IR's release index and diff memo, the trained classifier,
+		# the Q&A index, the telemetry registry and the serving daemon (its
+		# chaos suite and TestServeSmoke).
+		go test -race ./internal/apk/... ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 		;;
 	fuzz-smoke)
 		# The decoders (snapshot container, snapshot load, event journal)

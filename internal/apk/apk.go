@@ -17,7 +17,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -57,12 +56,13 @@ type Release struct {
 }
 
 // releaseIndex is the lazily-built lookup structure behind FindClass,
-// ClassNames and LayoutByID. A Release is mutated only while it is being
-// assembled (Builder, synth generator) and is read concurrently only after
-// assembly settles, so the index validates itself against the slice shape
-// (length plus boundary elements) instead of requiring explicit
-// invalidation: every mutation the Builder can express — appending classes,
-// filtering one out, appending layouts — changes at least one of those.
+// ClassNames and LayoutByID, and the home of the DiffReleases memo. A
+// Release is mutated only while it is being assembled (Builder, synth
+// generator) and is read concurrently only after assembly settles, so the
+// index validates itself against the slice shape (length plus boundary
+// elements) instead of requiring explicit invalidation: every mutation the
+// Builder can express — appending classes, filtering one out, appending
+// layouts — changes at least one of those.
 type releaseIndex struct {
 	byName                  map[string]*Class
 	names                   []string // all class names, sorted (duplicates preserved)
@@ -70,23 +70,8 @@ type releaseIndex struct {
 	nClasses, nLayouts      int
 	firstClass, lastClass   *Class
 	firstLayout, lastLayout string
-	// fps memoizes classContentFingerprint by class identity. The IR is
-	// immutable once built (the index itself relies on that), so a class
-	// pointer's fingerprint never changes; change-aware ranking re-diffs
-	// the same release pointers repeatedly, and untouched classes are
-	// shared between releases. Living on the index keeps the cache's
-	// lifetime tied to the release it describes.
-	fps sync.Map // *Class -> uint64
-}
-
-// classFP returns c's content fingerprint, memoized on the index.
-func (x *releaseIndex) classFP(c *Class) uint64 {
-	if v, ok := x.fps.Load(c); ok {
-		return v.(uint64)
-	}
-	fp := classContentFingerprint(c)
-	x.fps.Store(c, fp)
-	return fp
+	// diff memoizes DiffReleases(prev, this release) for the latest prev.
+	diff atomic.Pointer[releaseDiff]
 }
 
 func (r *Release) index() *releaseIndex {
@@ -388,37 +373,6 @@ func (a *App) SortReleases() {
 	})
 }
 
-// DiffClasses returns the names of classes added or changed in next relative
-// to prev (changed = different method set or statement count). It backs the
-// app-update localizer (§4.1.6) and the release-note ground truth (Fig. 6).
-func DiffClasses(prev, next *Release) []string {
-	if prev == nil || next == nil {
-		return nil
-	}
-	prevSig := make(map[string]string, len(prev.Classes))
-	for _, c := range prev.Classes {
-		prevSig[c.Name] = classFingerprint(c)
-	}
-	var out []string
-	for _, c := range next.Classes {
-		sig, existed := prevSig[c.Name]
-		if !existed || sig != classFingerprint(c) {
-			out = append(out, c.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func classFingerprint(c *Class) string {
-	parts := make([]string, 0, len(c.Methods))
-	for _, m := range c.Methods {
-		parts = append(parts, fmt.Sprintf("%s/%d", m.Name, len(m.Statements)))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, ";")
-}
-
 // SaveJSON writes the app (all releases) to a JSON file.
 func (a *App) SaveJSON(path string) error {
 	data, err := json.MarshalIndent(a, "", "  ")
@@ -431,7 +385,9 @@ func (a *App) SaveJSON(path string) error {
 	return nil
 }
 
-// LoadJSON reads an app from a JSON file written by SaveJSON.
+// LoadJSON reads an app from a JSON file written by SaveJSON. A release
+// history out of order fails with a *ReleaseOrderError: ReleaseBefore
+// would otherwise match reviews to the wrong release and predecessor.
 func LoadJSON(path string) (*App, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -440,6 +396,9 @@ func LoadJSON(path string) (*App, error) {
 	var a App
 	if err := json.Unmarshal(data, &a); err != nil {
 		return nil, fmt.Errorf("decode app: %w", err)
+	}
+	if err := a.CheckReleaseOrder(); err != nil {
+		return nil, err
 	}
 	return &a, nil
 }

@@ -1,6 +1,7 @@
 package apk
 
 import (
+	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -77,18 +78,6 @@ func TestCopyReleaseIsDeep(t *testing.T) {
 	}
 }
 
-func TestDiffClasses(t *testing.T) {
-	app := sampleApp()
-	diff := DiffClasses(app.Releases[0], app.Releases[1])
-	want := []string{"com.example.mail.SyncService"}
-	if !reflect.DeepEqual(diff, want) {
-		t.Errorf("DiffClasses = %v, want %v", diff, want)
-	}
-	if DiffClasses(nil, app.Releases[0]) != nil {
-		t.Error("nil prev should diff to nil")
-	}
-}
-
 func TestResolveString(t *testing.T) {
 	r := sampleApp().Releases[0]
 	if got := r.ResolveString("@string/send_label"); got != "Send" {
@@ -134,6 +123,26 @@ func TestSaveLoadJSON(t *testing.T) {
 	}
 	if loaded.Releases[1].Classes[0].Name != app.Releases[1].Classes[0].Name {
 		t.Error("class roundtrip mismatch")
+	}
+}
+
+// TestLoadJSONRejectsReversedReleases: an IR file whose releases are out
+// of time order fails to load with a *ReleaseOrderError instead of letting
+// ReleaseBefore match reviews to the wrong release and predecessor.
+func TestLoadJSONRejectsReversedReleases(t *testing.T) {
+	app := sampleApp()
+	app.Releases[0], app.Releases[1] = app.Releases[1], app.Releases[0]
+	path := filepath.Join(t.TempDir(), "app.json")
+	if err := app.SaveJSON(path); err != nil {
+		t.Fatalf("SaveJSON: %v", err)
+	}
+	_, err := LoadJSON(path)
+	var oe *ReleaseOrderError
+	if !errors.As(err, &oe) {
+		t.Fatalf("LoadJSON = %v, want a *ReleaseOrderError", err)
+	}
+	if oe.Index != 1 || oe.Prev != "1.1" || oe.Next != "1.0" {
+		t.Errorf("order error names index %d (%s -> %s), want 1 (1.1 -> 1.0)", oe.Index, oe.Prev, oe.Next)
 	}
 }
 

@@ -2,80 +2,59 @@ package apk
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 )
 
-// This file implements the class-level release differ behind change-aware
-// ranking (core.WithChangeAwareRank). Classes are keyed by qualified name
-// and compared by content fingerprint, so the added/removed/changed sets are
-// deterministic for a given pair of releases regardless of build order.
+// This file holds the one release differ. The Update localizer (§4.1.6),
+// change-aware ranking (core.WithChangeAwareRank, Table 17) and the
+// synthetic release notes (Fig. 6) all ask the same question — which
+// classes did a release add or change relative to its predecessor? — and
+// DiffReleases answers it for all three. Classes are keyed by qualified
+// name, never by position, and compared by an order-sensitive content
+// fingerprint, so the answer does not depend on build order. Each release
+// memoizes its latest answer on its lazily built index, keyed by the
+// predecessor it was diffed against, so every reader of a release pair
+// (solvers sharing a snapshot, standalone solvers, the generator) shares
+// one computation.
 
-// ReleaseDelta is the class-level diff between two releases of one app.
-type ReleaseDelta struct {
-	// AddedClasses/RemovedClasses/ChangedClasses are class names, sorted.
-	// "Changed" means the class exists in both releases with a different
-	// content fingerprint (superclass, method set, or statement bodies).
-	AddedClasses   []string
-	RemovedClasses []string
-	ChangedClasses []string
-
-	touched map[string]struct{} // added ∪ changed class names
+// releaseDiff is one memoized DiffReleases answer: the classes added or
+// changed in the release relative to prev.
+type releaseDiff struct {
+	prev    *Release
+	classes []string
 }
 
-// ClassTouched reports whether the named class was added or changed in
-// the newer release.
-func (d *ReleaseDelta) ClassTouched(name string) bool {
-	_, ok := d.touched[name]
-	return ok
-}
-
-// TouchedClasses returns the sorted union of added and changed classes —
-// the classes a change-aware ranker boosts.
-func (d *ReleaseDelta) TouchedClasses() []string {
-	out := make([]string, 0, len(d.touched))
-	for name := range d.touched {
-		out = append(out, name)
+// DiffReleases returns the sorted names of the classes added or changed in
+// next relative to prev. "Changed" means the class exists in both releases
+// with a different content fingerprint (superclass, method names, or
+// statement bodies); classes prev has and next lacks are not listed. prev
+// may be nil (first release), and every class of next then counts as
+// added. The answer is computed once per (prev, next) pair and memoized on
+// next, which keeps the latest pair; the returned slice is shared by every
+// caller and must not be modified. Like the index it lives on, the memo
+// assumes both releases are no longer mutated.
+func DiffReleases(prev, next *Release) []string {
+	x := next.index()
+	if d := x.diff.Load(); d != nil && d.prev == prev {
+		return d.classes
 	}
-	sort.Strings(out)
-	return out
-}
-
-// DiffReleases computes the class-level delta from prev to next. Both
-// releases must belong to the same app; prev may be nil (first release),
-// and every class of next is then reported as added.
-func DiffReleases(prev, next *Release) *ReleaseDelta {
-	d := &ReleaseDelta{touched: make(map[string]struct{})}
+	var classes []string
 	if prev == nil {
+		classes = x.names // every class is added
+	} else {
+		byName := prev.index().byName
 		for _, c := range next.Classes {
-			d.AddedClasses = append(d.AddedClasses, c.Name)
-			d.touched[c.Name] = struct{}{}
+			pc, existed := byName[c.Name]
+			if !existed || classContentFingerprint(pc) != classContentFingerprint(c) {
+				classes = append(classes, c.Name)
+			}
 		}
-		sort.Strings(d.AddedClasses)
-		return d
+		sort.Strings(classes)
+		classes = slices.Clip(classes)
 	}
-
-	pIdx, nIdx := prev.index(), next.index()
-	for _, c := range next.Classes {
-		pc, existed := pIdx.byName[c.Name]
-		if !existed {
-			d.AddedClasses = append(d.AddedClasses, c.Name)
-			d.touched[c.Name] = struct{}{}
-			continue
-		}
-		if pIdx.classFP(pc) != nIdx.classFP(c) {
-			d.ChangedClasses = append(d.ChangedClasses, c.Name)
-			d.touched[c.Name] = struct{}{}
-		}
-	}
-	for _, c := range prev.Classes {
-		if _, stays := nIdx.byName[c.Name]; !stays {
-			d.RemovedClasses = append(d.RemovedClasses, c.Name)
-		}
-	}
-	sort.Strings(d.AddedClasses)
-	sort.Strings(d.RemovedClasses)
-	sort.Strings(d.ChangedClasses)
-	return d
+	x.diff.Store(&releaseDiff{prev: prev, classes: classes})
+	return classes
 }
 
 // methodFingerprint hashes a method's statement list by content: opcode,

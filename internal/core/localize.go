@@ -21,11 +21,9 @@ type Mapping struct {
 	// Method is the recommended method when one is known ("" otherwise).
 	Method string
 	// Context identifies the localizer (Table 1 context type) that found
-	// the mapping.
+	// the mapping. What the phrase matched (method name, API description,
+	// widget id, …) is recorded only in an explain trace's MatchTrace.
 	Context ctxinfo.Type
-	// Evidence describes what the phrase matched (method name, API
-	// description, widget id, …).
-	Evidence string
 }
 
 // Localize runs every applicable localizer (§4.1 app-specific, §4.2
@@ -91,14 +89,16 @@ type emitter struct {
 
 // match records that phraseText correlates with class (and method, when
 // one is known); source names the information it matched and sim its
-// similarity (1 for an exact hit).
-func (e *emitter) match(phraseText, class, method, source, evidence string, sim float64) {
-	e.out = append(e.out, Mapping{Phrase: phraseText, Class: class, Method: method, Context: e.ctx, Evidence: evidence})
+// similarity (1 for an exact hit). evidence holds the pieces of the
+// MatchTrace's evidence string, which are joined only when an explain
+// trace is attached.
+func (e *emitter) match(phraseText, class, method, source string, sim float64, evidence ...string) {
+	e.out = append(e.out, Mapping{Phrase: phraseText, Class: class, Method: method, Context: e.ctx})
 	e.sim.Observe(sim)
 	if e.tr != nil {
 		e.tr.AddMatch(obs.MatchTrace{
 			Phrase: phraseText, Class: class, Method: method,
-			Stage: e.stage, Source: source, Evidence: evidence,
+			Stage: e.stage, Source: source, Evidence: strings.Join(evidence, ""),
 			Similarity: sim,
 		})
 	}
@@ -176,12 +176,16 @@ func (s *Solver) localizeAppSpecific(e emitter, in localizeInput) []Mapping {
 		sc := info.methodMatrix.ScanThresholdCount(&prep.q, threshold, 0, len(info.MethodPhrases),
 			func(i int, sim float64) {
 				mp := &info.MethodPhrases[i]
-				source, evidence := "method name", "method name "+mp.Method.Name
-				if mp.FromSummary {
-					source = "method summary"
-					evidence = "method summary [" + strings.Join(mp.Words, " ") + "]"
+				m := mp.Method
+				if !mp.FromSummary {
+					e.match(prep.text, m.Class, m.Name, "method name", sim, "method name ", m.Name)
+					return
 				}
-				e.match(prep.text, mp.Method.Class, mp.Method.Name, source, evidence, sim)
+				var words string // joined only for an explain trace
+				if e.tr != nil {
+					words = strings.Join(mp.Words, " ")
+				}
+				e.match(prep.text, m.Class, m.Name, "method summary", sim, "method summary [", words, "]")
 			})
 		e.scanned("method_phrases", prep.text, len(info.MethodPhrases), sc)
 	}
@@ -229,7 +233,7 @@ func (s *Solver) guiNounPhrases(e *emitter, ra *ReviewAnalysis, info *StaticInfo
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					e.match(ra.npKey(ni), activity, "", "visible label", "visible label contains "+mod, 1)
+					e.match(ra.npKey(ni), activity, "", "visible label", 1, "visible label contains ", mod)
 				}
 				s.matchInvisibleWord(e, ra.npKey(ni), mod, info)
 			}
@@ -242,7 +246,7 @@ func (s *Solver) guiNounPhrases(e *emitter, ra *ReviewAnalysis, info *StaticInfo
 					continue
 				}
 				for _, activity := range gui.FindByVisibleWord(info.GUIs, mod) {
-					e.match(ra.npKey(ni), activity, "", "visible label", "visible label contains "+mod, 1)
+					e.match(ra.npKey(ni), activity, "", "visible label", 1, "visible label contains ", mod)
 				}
 			}
 		}
@@ -258,8 +262,8 @@ func (s *Solver) guiPatterns(e *emitter, ra *ReviewAnalysis, info *StaticInfo) {
 				continue
 			}
 			for _, activity := range gui.FindByVisibleWord(info.GUIs, fn) {
-				e.match(strings.Join(pm.Function, " "), activity, "", "visible label",
-					pm.Pattern.String()+" function word "+fn, 1)
+				e.match(strings.Join(pm.Function, " "), activity, "", "visible label", 1,
+					pm.Pattern.String(), " function word ", fn)
 			}
 		}
 	}
@@ -274,7 +278,7 @@ func (s *Solver) matchInvisible(e *emitter, prep *phrasePrep, info *StaticInfo) 
 		func(row int, sim float64) {
 			ref := info.invisibleRows[row]
 			g := &info.GUIs[ref.GUI]
-			e.match(prep.text, g.Activity, "", "widget id", "widget id "+g.WidgetIDs[ref.Widget], sim)
+			e.match(prep.text, g.Activity, "", "widget id", sim, "widget id ", g.WidgetIDs[ref.Widget])
 		})
 	e.scanned("widget_ids", prep.text, info.invisibleMatrix.Rows(), sc)
 }
@@ -301,7 +305,7 @@ func (s *Solver) matchInvisibleWord(e *emitter, phraseText, word string, info *S
 				}
 			}
 			if matched {
-				e.match(phraseText, g.Activity, "", "widget id", "widget id "+g.WidgetIDs[wi], sim)
+				e.match(phraseText, g.Activity, "", "widget id", sim, "widget id ", g.WidgetIDs[wi])
 			}
 		}
 	}
@@ -338,7 +342,7 @@ func (s *Solver) localizeErrorMessage(e emitter, in localizeInput) []Mapping {
 				continue
 			}
 			for _, cls := range msg.Classes {
-				e.match(quoted, cls, "", "app message", "app message "+msg.Text, 1)
+				e.match(quoted, cls, "", "app message", 1, "app message ", msg.Text)
 			}
 		}
 	}
@@ -356,7 +360,8 @@ func (s *Solver) localizeErrorMessage(e emitter, in localizeInput) []Mapping {
 					continue
 				}
 				for _, cls := range use.Classes {
-					e.match(ra.npKey(ni), cls, "", "API description", "API description "+use.API.Signature(), sim)
+					e.match(ra.npKey(ni), cls, "", "API description", sim,
+						"API description ", use.API.Class, ".", use.API.Method, "()")
 				}
 			}
 		}
@@ -437,7 +442,7 @@ func (s *Solver) localizeOpeningApp(e emitter, in localizeInput) []Mapping {
 		return nil
 	}
 	for _, m := range lifecycleMethods {
-		e.match(trigger, info.StartingActivity, m, "starting activity", "starting activity lifecycle", 1)
+		e.match(trigger, info.StartingActivity, m, "starting activity", 1, "starting activity lifecycle")
 	}
 	return e.out
 }
@@ -451,7 +456,7 @@ func (s *Solver) localizeRegistration(e emitter, in localizeInput) []Mapping {
 		return nil
 	}
 	for _, a := range gui.FindRegistrationActivities(in.info.GUIs) {
-		e.match("account registration", a, "", "registration activity", "registration activity", 1)
+		e.match("account registration", a, "", "registration activity", 1, "registration activity")
 	}
 	return e.out
 }
@@ -514,8 +519,8 @@ func (s *Solver) localizeUpdate(e emitter, in localizeInput) []Mapping {
 	if !mentioned || len(in.earlier) > 0 {
 		return nil
 	}
-	for _, cls := range apk.DiffClasses(previous, current) {
-		e.match("app update", cls, "", "version diff", "changed between "+previous.Version+" and "+current.Version, 1)
+	for _, cls := range apk.DiffReleases(previous, current) {
+		e.match("app update", cls, "", "version diff", 1, "changed between ", previous.Version, " and ", current.Version)
 	}
 	return e.out
 }
@@ -572,7 +577,7 @@ func (s *Solver) localizeAPIURIIntent(e emitter, in localizeInput) []Mapping {
 				continue
 			}
 			for _, cls := range info.APIClasses(entry.api.Class, entry.api.Method) {
-				e.match(phraseText, cls, "", source, "API "+entry.api.Signature(), sim)
+				e.match(phraseText, cls, "", source, sim, "API ", entry.api.Class, ".", entry.api.Method, "()")
 			}
 		}
 		e.scanned("catalog", phraseText, table.matrix.Rows(), sc)
@@ -592,7 +597,7 @@ func (s *Solver) localizeAPIURIIntent(e emitter, in localizeInput) []Mapping {
 				continue
 			}
 			for _, cls := range use.Classes {
-				e.match(phraseText, cls, "", "URI", "URI "+use.URI.URI, sim)
+				e.match(phraseText, cls, "", "URI", sim, "URI ", use.URI.URI)
 			}
 		}
 
@@ -610,7 +615,7 @@ func (s *Solver) localizeAPIURIIntent(e emitter, in localizeInput) []Mapping {
 				continue
 			}
 			for _, cls := range use.Classes {
-				e.match(phraseText, cls, "", "intent", "intent "+use.Action, sim)
+				e.match(phraseText, cls, "", "intent", sim, "intent ", use.Action)
 			}
 		}
 	}
@@ -626,7 +631,7 @@ func (s *Solver) localizeGeneralTask(e emitter, in localizeInput) []Mapping {
 	query := func(phraseText string, words []string) {
 		for _, ref := range s.qaIndex.TopAPIs(words, 5) {
 			for _, cls := range in.info.Graph.ClassesCalling(ref.Class, ref.Method) {
-				e.match(phraseText, cls, "", "Q&A task API", "Q&A task API "+ref.Key(), 1)
+				e.match(phraseText, cls, "", "Q&A task API", 1, "Q&A task API ", ref.Class, ".", ref.Method)
 			}
 		}
 	}
@@ -664,7 +669,8 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 					continue
 				}
 				for _, cls := range use.Classes {
-					e.match(npText, cls, "", "API exception", "API "+use.API.Signature()+" throws "+ex, 1)
+					e.match(npText, cls, "", "API exception", 1,
+						"API ", use.API.Class, ".", use.API.Method, "() throws ", ex)
 				}
 			}
 		}
@@ -678,11 +684,11 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 				continue
 			}
 			e.match(npText, site.Site.Class(), site.Site.Method.Name,
-				"exception handler", "handles "+site.Exception, 1)
+				"exception handler", 1, "handles ", site.Exception)
 			for _, caller := range info.Graph.Callers(site.Site.Method.QualifiedName()) {
 				cls, method := splitQualified(caller)
-				e.match(npText, cls, method, "exception handler caller",
-					"calls "+site.Site.Method.Name+" which handles "+site.Exception, 1)
+				e.match(npText, cls, method, "exception handler caller", 1,
+					"calls ", site.Site.Method.Name, " which handles ", site.Exception)
 			}
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -76,6 +78,34 @@ func TestTraceByteDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(base[i], observed[i]) {
 			t.Errorf("review %d: trace differs with a recorder installed", i)
+		}
+	}
+}
+
+// TestExplainTraceGolden pins the explain traces of two K-9 reviews byte
+// for byte: the evidence strings, which only traces carry, similarities,
+// scan counts, stage walk and ranking. Only the Update localizer maps the
+// second review, so its two version-diff matches also pin the release
+// diff.
+func TestExplainTraceGolden(t *testing.T) {
+	app := synth.GenerateSample(1).App
+	when := app.Latest().ReleasedAt.AddDate(0, 0, 1)
+	s := New()
+	for _, tc := range []struct{ file, review string }{
+		{"explain_fetch_mail.json", "cannot fetch mail since the latest update"},
+		{"explain_update_crash.json", "app started crashing after recent update"},
+	} {
+		_, tr := s.LocalizeReviewTraced(app, tc.review, when)
+		got, err := tr.JSON()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("explain trace of %q differs from testdata/%s:\n%s", tc.review, tc.file, got)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"time"
 
 	"reviewsolver/internal/apk"
@@ -46,9 +45,9 @@ func (o cosineOracle) LocalizeReview(app *apk.App, text string, publishedAt time
 	}
 	res.Mappings = dedupMappings(out)
 
-	var changed map[string]struct{}
+	var changed []string
 	if s.changeAware && previous != nil {
-		changed = s.changedClasses(previous, current)
+		changed = apk.DiffReleases(previous, current)
 	}
 	res.Ranked = rankClasses(res.Mappings, info.Graph, TopN, changed)
 	return res
@@ -96,12 +95,8 @@ func (o cosineOracle) appSpecific(_ *Solver, _ emitter, in localizeInput) []Mapp
 			if !o.similar(words, mp.Words) {
 				continue
 			}
-			evidence := "method name " + mp.Method.Name
-			if mp.FromSummary {
-				evidence = "method summary [" + strings.Join(mp.Words, " ") + "]"
-			}
 			out = append(out, Mapping{Phrase: ra.vpKey(vi), Class: mp.Method.Class, Method: mp.Method.Name,
-				Context: ctxinfo.AppSpecificTask, Evidence: evidence})
+				Context: ctxinfo.AppSpecificTask})
 		}
 	}
 	return out
@@ -115,12 +110,11 @@ func (o cosineOracle) gui(_ *Solver, e emitter, in localizeInput) []Mapping {
 	for vi := range ra.VerbPhrases {
 		content := contentOnly(ra.VerbPhrases[vi].Words())
 		for _, g := range info.GUIs {
-			for wi, idWords := range g.InvisibleWords {
+			for _, idWords := range g.InvisibleWords {
 				if len(idWords) == 0 || !o.similar(content, idWords) {
 					continue
 				}
-				e.out = append(e.out, Mapping{Phrase: ra.vpKey(vi), Class: g.Activity,
-					Context: ctxinfo.GUI, Evidence: "widget id " + g.WidgetIDs[wi]})
+				e.out = append(e.out, Mapping{Phrase: ra.vpKey(vi), Class: g.Activity, Context: ctxinfo.GUI})
 			}
 		}
 	}
@@ -131,9 +125,9 @@ func (o cosineOracle) gui(_ *Solver, e emitter, in localizeInput) []Mapping {
 func (o cosineOracle) apiURIIntent(_ *Solver, _ emitter, in localizeInput) []Mapping {
 	s, ra, info := o.s, in.ra, in.info
 	var out []Mapping
-	add := func(phraseText string, classes []string, evidence string) {
+	add := func(phraseText string, classes []string) {
 		for _, cls := range classes {
-			out = append(out, Mapping{Phrase: phraseText, Class: cls, Context: ctxinfo.APIURIIntent, Evidence: evidence})
+			out = append(out, Mapping{Phrase: phraseText, Class: cls, Context: ctxinfo.APIURIIntent})
 		}
 	}
 	for vi := range ra.VerbPhrases {
@@ -155,7 +149,7 @@ func (o cosineOracle) apiURIIntent(_ *Solver, _ emitter, in localizeInput) []Map
 				}
 			}
 			if matched {
-				add(phraseText, info.APIClasses(api.Class, api.Method), "API "+api.Signature())
+				add(phraseText, info.APIClasses(api.Class, api.Method))
 			}
 		}
 		if !hasObject {
@@ -163,13 +157,13 @@ func (o cosineOracle) apiURIIntent(_ *Solver, _ emitter, in localizeInput) []Map
 		}
 		for _, use := range info.URIs {
 			if len(use.Nouns) > 0 && o.similar(vp.Object, use.Nouns) {
-				add(phraseText, use.Classes, "URI "+use.URI.URI)
+				add(phraseText, use.Classes)
 			}
 		}
 		for _, use := range info.Intents {
 			for _, noun := range use.Nouns {
 				if o.similar(vp.Object, []string{noun}) {
-					add(phraseText, use.Classes, "intent "+use.Action)
+					add(phraseText, use.Classes)
 					break
 				}
 			}

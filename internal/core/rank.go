@@ -1,11 +1,10 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"sync"
 
 	"reviewsolver/internal/apg"
-	"reviewsolver/internal/apk"
 )
 
 // RankedClass is one recommended class with its ranking signals (§4.3).
@@ -35,12 +34,13 @@ func RankClasses(mappings []Mapping, g *apg.Graph, n int) []RankedClass {
 	return rankClasses(mappings, g, n, nil)
 }
 
-// rankClasses is RankClasses with an optional changed-class set: when
-// non-nil, classes in the set order ahead of the rest (§4.1.6's
-// localizeUpdate intuition — a function-error review against a fresh
-// release most likely blames code the update touched), with the standard
-// importance/dependency/name ordering applied within each group.
-func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed map[string]struct{}) []RankedClass {
+// rankClasses is RankClasses with the sorted class names apk.DiffReleases
+// lists for the review's release (nil outside change-aware ranking):
+// listed classes order ahead of the rest (§4.1.6's localizeUpdate
+// intuition — a function-error review against a fresh release most likely
+// blames code the update touched), with the standard importance,
+// dependency and name ordering applied within each group.
+func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed []string) []RankedClass {
 	type acc struct {
 		phrases  map[string]struct{}
 		contexts map[string]struct{}
@@ -74,9 +74,7 @@ func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed map[string]str
 		if g != nil {
 			rc.Dependencies = g.ClassDependencyCount(cls)
 		}
-		if changed != nil {
-			_, rc.Changed = changed[cls]
-		}
+		_, rc.Changed = slices.BinarySearch(changed, cls)
 		out = append(out, rc)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -95,36 +93,4 @@ func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed map[string]str
 		out = out[:n]
 	}
 	return out
-}
-
-// releaseDiffCache memoizes the changed-class sets change-aware ranking
-// consults, keyed by the (previous, current) release pointer pair. Held by
-// Solver as a pointer so copies made from a snapshot template share one
-// cache; sync.Map fits the write-once read-many access pattern.
-type releaseDiffCache struct {
-	m sync.Map // [2]*apk.Release -> map[string]struct{}
-}
-
-// changedClasses returns the set of classes added or changed between prev
-// and cur, memoized when a cache is installed (WithChangeAwareRank).
-func (s *Solver) changedClasses(prev, cur *apk.Release) map[string]struct{} {
-	if s.changedCache == nil {
-		return changedClassSet(prev, cur)
-	}
-	key := [2]*apk.Release{prev, cur}
-	if v, ok := s.changedCache.m.Load(key); ok {
-		return v.(map[string]struct{})
-	}
-	set := changedClassSet(prev, cur)
-	actual, _ := s.changedCache.m.LoadOrStore(key, set)
-	return actual.(map[string]struct{})
-}
-
-func changedClassSet(prev, cur *apk.Release) map[string]struct{} {
-	d := apk.DiffReleases(prev, cur)
-	set := make(map[string]struct{})
-	for _, n := range d.TouchedClasses() {
-		set[n] = struct{}{}
-	}
-	return set
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"time"
 
 	"reviewsolver/internal/apk"
+	"reviewsolver/internal/ctxinfo"
 	"reviewsolver/internal/synth"
 )
 
@@ -45,9 +48,9 @@ func TestChangeAwareRankBoostsChangedClasses(t *testing.T) {
 	}
 }
 
-// TestChangeAwareRankUsesDiff pins the Changed flag to the structural diff:
-// every class marked Changed must be in the touched set of the
-// (previous, current) release diff.
+// TestChangeAwareRankUsesDiff pins the Changed flag to the release diff:
+// a ranked class is marked Changed exactly when apk.DiffReleases lists it
+// for the (previous, current) release pair.
 func TestChangeAwareRankUsesDiff(t *testing.T) {
 	data := synth.GenerateSample(5)
 	app := data.App
@@ -59,18 +62,47 @@ func TestChangeAwareRankUsesDiff(t *testing.T) {
 		if !ok || previous == nil || res.Release != current {
 			continue
 		}
-		d := apk.DiffReleases(previous, current)
+		diff := apk.DiffReleases(previous, current)
 		for _, rc := range res.Ranked {
-			if rc.Changed && !d.ClassTouched(rc.Class) {
-				t.Fatalf("class %s marked changed but diff disagrees", rc.Class)
-			}
-			if !rc.Changed && d.ClassTouched(rc.Class) {
-				t.Fatalf("class %s touched by diff but not marked changed", rc.Class)
+			if listed := slices.Contains(diff, rc.Class); rc.Changed != listed {
+				t.Fatalf("class %s: Changed = %v, but the diff lists it: %v", rc.Class, rc.Changed, listed)
 			}
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Skip("no review hit a release with a predecessor")
+	}
+}
+
+// TestBodyOnlyEditIsAnUpdate: a release whose only change is one
+// statement's callee — same method names, same statement counts — still
+// counts as touching that class. The Update localizer maps an update
+// review to it, and change-aware ranking marks it Changed.
+func TestBodyOnlyEditIsAnUpdate(t *testing.T) {
+	const store = "com.example.notes.Store"
+	t0 := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	b := apk.NewBuilder("com.example.notes", "Notes")
+	b.Release("1.0", 1, t0)
+	b.LauncherActivity("com.example.notes.MainActivity", "main")
+	b.Layout("main", apk.Widget{Type: "LinearLayout"})
+	b.Class("com.example.notes.MainActivity").
+		Method("onCreate", apk.Invoke("", store, "load"))
+	b.Class(store).
+		Method("load", apk.Invoke("", "java.io.FileInputStream", "read")).
+		Method("save", apk.Invoke("", "java.io.FileOutputStream", "write"))
+	b.CopyRelease("1.1", 2, t0.AddDate(0, 1, 0))
+	c, _ := b.CurrentRelease().FindClass(store)
+	c.Methods[0].Statements[0].InvokeMethod = "readFully"
+	app := b.Build()
+
+	res := New(WithChangeAwareRank()).LocalizeReview(app,
+		"app started crashing after recent update", t0.AddDate(0, 2, 0))
+	want := []Mapping{{Phrase: "app update", Class: store, Context: ctxinfo.UpdatingApp}}
+	if !reflect.DeepEqual(res.Mappings, want) {
+		t.Fatalf("mappings = %+v, want %+v", res.Mappings, want)
+	}
+	if len(res.Ranked) != 1 || res.Ranked[0].Class != store || !res.Ranked[0].Changed {
+		t.Fatalf("ranked = %+v, want %s marked Changed", res.Ranked, store)
 	}
 }

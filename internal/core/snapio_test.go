@@ -5,8 +5,10 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
+	"reviewsolver/internal/apk"
 	"reviewsolver/internal/snapfile"
 	"reviewsolver/internal/synth"
 )
@@ -230,6 +232,19 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 		_, _, err := LoadSnapshotBytes(bad)
 		if !errors.Is(err, snapfile.ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("releases out of order", func(t *testing.T) {
+		app := synth.GenerateSample(3).App
+		slices.Reverse(app.Releases)
+		bad, err := EncodeSnapshot(NewSnapshot(), app)
+		if err != nil {
+			t.Fatalf("EncodeSnapshot: %v", err)
+		}
+		_, _, err = LoadSnapshotBytes(bad)
+		var oe *apk.ReleaseOrderError
+		if !errors.Is(err, snapfile.ErrCorrupt) || !errors.As(err, &oe) {
+			t.Fatalf("err = %v, want ErrCorrupt wrapping a *apk.ReleaseOrderError", err)
 		}
 	})
 	t.Run("missing section", func(t *testing.T) {

@@ -128,6 +128,11 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 		return nil, nil, fmt.Errorf("%w: META declares %d releases, IR has %d",
 			snapfile.ErrCorrupt, releaseCount, len(app.Releases))
 	}
+	// ReleaseBefore assumes time order; an image that breaks it would
+	// match reviews to the wrong release, so it is corrupt.
+	if err := app.CheckReleaseOrder(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", snapfile.ErrCorrupt, err)
+	}
 
 	table, err := loadCatalogTable(r, &s)
 	if err != nil {

@@ -46,10 +46,8 @@ type Solver struct {
 
 	// changeAware boosts candidate classes touched between the review's
 	// release and its predecessor to the top of the ranking (§4.1.6's
-	// update intuition applied at rank time). changedCache memoizes the
-	// release diffs behind it; held by pointer so solver copies share it.
-	changeAware  bool
-	changedCache *releaseDiffCache
+	// update intuition applied at rank time).
+	changeAware bool
 
 	// snap, when set, is the shared immutable precomputed state this
 	// solver reads through instead of its private caches below.
@@ -175,12 +173,7 @@ func WithWordModel(m *wordvec.Model) Option {
 // ordering changes, with the changed-first key applied before importance.
 // Reviews with no predecessor release rank exactly as without the option.
 func WithChangeAwareRank() Option {
-	return func(s *Solver) {
-		s.changeAware = true
-		if s.changedCache == nil {
-			s.changedCache = &releaseDiffCache{}
-		}
-	}
+	return func(s *Solver) { s.changeAware = true }
 }
 
 // WithObserver installs a telemetry recorder. The pipeline then emits
@@ -365,9 +358,9 @@ func (s *Solver) localizeReview(app *apk.App, text string, publishedAt time.Time
 	tr.AddStage(stageLocalize, stageReview, len(res.Mappings))
 
 	rs := root.Child(stageRank)
-	var changed map[string]struct{}
+	var changed []string
 	if s.changeAware && previous != nil {
-		changed = s.changedClasses(previous, current)
+		changed = apk.DiffReleases(previous, current)
 	}
 	res.Ranked = rankClasses(res.Mappings, info.Graph, TopN, changed)
 	rs.End()

@@ -56,8 +56,8 @@ type ReleaseNote struct {
 	Lines   []string
 	// FaultIDs are the faults this release fixes.
 	FaultIDs []int
-	// ChangedClasses are the files changed relative to the previous
-	// release.
+	// ChangedClasses are the classes apk.DiffReleases lists against the
+	// previous release; the slice is shared with its memo, so read only.
 	ChangedClasses []string
 }
 

@@ -363,7 +363,7 @@ func generateReleaseNotes(app *apk.App, feats []feature, faults []Fault) []Relea
 		if len(note.FaultIDs) == 0 {
 			continue
 		}
-		note.ChangedClasses = apk.DiffClasses(app.Releases[v-1], app.Releases[v])
+		note.ChangedClasses = apk.DiffReleases(app.Releases[v-1], app.Releases[v])
 		out = append(out, note)
 	}
 	return out
