@@ -14,18 +14,20 @@ ci:
 ci-fast:
 	./ci.sh fmt vet build test
 
+# Rewrites the benchgate baselines. bench/BENCH_FLEETOBS.json is not one:
+#   go test -run TestFleetObsGolden ./internal/serve -update
 update-baselines:
 	go run ./cmd/benchgate -dir $(BENCHDIR) -update
 
 bench-all:
 	go test -run xxx -bench . -benchtime 1x .
 
-# Compile (and verify) the snapshot of one built-in app. Override with e.g.
+# Compile the snapshot of one built-in app. Override with e.g.
 #   make snapshot SNAPAPP=org.wordpress.android SNAPOUT=wp.snap
 SNAPAPP ?= com.fsck.k9
 SNAPOUT ?= $(SNAPAPP).snap
 snapshot:
-	go run ./cmd/snapshotc -app $(SNAPAPP) -o $(SNAPOUT) -verify
+	go run ./cmd/snapshotc -app $(SNAPAPP) -o $(SNAPOUT)
 
 # Profiling workflow: run the streaming corpus benchmark long enough for a
 # useful sample and drop CPU + heap profiles under $(PROFDIR). Inspect with

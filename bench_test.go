@@ -5,6 +5,7 @@
 package reviewsolver
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"testing"
@@ -210,7 +211,7 @@ func BenchmarkSentimentSentiStrength(b *testing.B) {
 	review := "It's a great app but since the last update my stats page doesnt work properly."
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sentiment.NegativeSentences(a, review)
+		sentiment.HasNegativeSentence(a, review)
 	}
 }
 
@@ -332,8 +333,9 @@ func BenchmarkSequentialThroughput(b *testing.B) {
 // BenchmarkSequentialThroughput.
 func BenchmarkPoolThroughput(b *testing.B) {
 	app, inputs := throughputInputs(100)
-	pool := core.NewPool(0)
-	pool.Snapshot().PrecomputeApp(app.App)
+	sn := core.NewSnapshot()
+	sn.PrecomputeApp(app.App)
+	pool := core.NewPoolWithSnapshot(0, sn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool.Localize(app.App, inputs)
@@ -341,14 +343,15 @@ func BenchmarkPoolThroughput(b *testing.B) {
 }
 
 // BenchmarkCorpusThroughput drains the 100-review batch through the
-// streaming LocalizeCorpus API (bounded channels, deterministic output
+// streaming LocalizeCorpusContext API (bounded channels, deterministic output
 // order) and reports end-to-end reviews/sec. Compare against
 // BenchmarkPoolThroughput: the stream adds ordering but shares the same
 // warm frontend caches, so steady-state cost per review is comparable.
 func BenchmarkCorpusThroughput(b *testing.B) {
 	app, inputs := throughputInputs(100)
-	pool := core.NewPool(0)
-	pool.Snapshot().PrecomputeApp(app.App)
+	sn := core.NewSnapshot()
+	sn.PrecomputeApp(app.App)
+	pool := core.NewPoolWithSnapshot(0, sn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in := make(chan core.ReviewInput)
@@ -359,7 +362,7 @@ func BenchmarkCorpusThroughput(b *testing.B) {
 			close(in)
 		}()
 		n := 0
-		for range pool.LocalizeCorpus(app.App, in) {
+		for range pool.LocalizeCorpusContext(context.Background(), app.App, in) {
 			n++
 		}
 		if n != len(inputs) {
@@ -524,9 +527,8 @@ func benchScanMatrix(rows int) (*wordvec.Model, *wordvec.Matrix, []wordvec.Vecto
 	return m, mat, vecs
 }
 
-// BenchmarkMatrixScan compares one query against 1024 candidates three
-// ways: a brute-force per-row Cosine loop, the flat DotBatch kernel, and
-// the prescreened threshold scan.
+// BenchmarkMatrixScan compares one query against 1024 candidates two ways:
+// a brute-force per-row Cosine loop and the prescreened threshold scan.
 func BenchmarkMatrixScan(b *testing.B) {
 	m, mat, vecs := benchScanMatrix(1024)
 	qv := m.PhraseVector([]string{"send", "text"})
@@ -542,18 +544,11 @@ func BenchmarkMatrixScan(b *testing.B) {
 		}
 		sinkFloat = float64(n)
 	})
-	b.Run("DotBatch", func(b *testing.B) {
-		out := make([]float64, mat.Rows())
-		for i := 0; i < b.N; i++ {
-			wordvec.DotBatch(qv, mat.Data(), out)
-		}
-		sinkFloat = out[0]
-	})
 	b.Run("PrescreenScan", func(b *testing.B) {
 		q := wordvec.PrepareQuery(qv)
 		n := 0
 		for i := 0; i < b.N; i++ {
-			mat.ScanThreshold(&q, threshold, 0, mat.Rows(), func(int, float64) { n++ })
+			mat.ScanThresholdCount(&q, threshold, 0, mat.Rows(), func(int, float64) { n++ })
 		}
 		sinkFloat = float64(n)
 	})

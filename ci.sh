@@ -9,10 +9,10 @@ cd "$(dirname "$0")"
 export GOPROXY=off
 export GOFLAGS=-mod=mod
 
-ALL_STEPS="fmt vet build test perfbench-check race fuzz-smoke snapshot-smoke benchgate fleetobs-smoke bench"
+ALL_STEPS="fmt vet build test perfbench-check race fuzz-smoke snapshot-smoke benchgate bench"
 
-# One temp dir holds the build outputs and artifacts of the snapshot and
-# fleetobs steps; removed on any exit.
+# One temp dir holds the build outputs and artifacts of the snapshot step;
+# removed on any exit.
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 SNAPAPP="${SNAPAPP:-com.fsck.k9}"
@@ -45,24 +45,27 @@ run_step() {
 		go test -race ./internal/apk/... ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 		;;
 	fuzz-smoke)
-		# The decoders (snapshot container, snapshot load, event journal)
-		# return typed errors and never panic; the prescreened scan yields
-		# exactly what a brute-force dot loop yields; the compiled forest
-		# scores arbitrary text exactly as the reference tree walk does; the
-		# Q&A posting index ranks arbitrary phrases exactly as the linear
-		# scan does. Seed corpora live under */testdata/fuzz/.
-		go test -run '^$' -fuzz FuzzOpen -fuzztime 5s ./internal/snapfile
-		go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s ./internal/core
-		go test -run '^$' -fuzz FuzzScan -fuzztime 5s ./internal/wordvec
-		go test -run '^$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/obs
-		go test -run '^$' -fuzz FuzzClassify -fuzztime 5s ./internal/textclass
-		go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s ./internal/qa
+		# The decoders (snapshot container, snapshot load) return typed
+		# errors and never panic; reviewd maps any request body to a typed
+		# 4xx, never a 500; the prescreened scan yields exactly what a
+		# brute-force dot loop yields; the compiled forest scores arbitrary
+		# text exactly as the reference tree walk does; the Q&A posting index
+		# ranks arbitrary phrases exactly as the linear scan does. Seed
+		# corpora live under */testdata/fuzz/. Minimization is capped at 10
+		# runs per input: unbounded, the snapshot-load target spends its
+		# whole budget minimizing inputs derived from its 0.8 MB seed image.
+		go test -run '^$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 10x ./internal/snapfile
+		go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s -fuzzminimizetime 10x ./internal/core
+		go test -run '^$' -fuzz FuzzServeRequest -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
+		go test -run '^$' -fuzz FuzzScan -fuzztime 5s -fuzzminimizetime 10x ./internal/wordvec
+		go test -run '^$' -fuzz FuzzClassify -fuzztime 5s -fuzzminimizetime 10x ./internal/textclass
+		go test -run '^$' -fuzz FuzzTopAPIs -fuzztime 5s -fuzzminimizetime 10x ./internal/qa
 		;;
 	snapshot-smoke)
 		# snapshotc compiles the same app to identical bytes, and
 		# localization served from the .snap matches the direct build.
 		go build -o "$WORKDIR/snapshotc" ./cmd/snapshotc
-		"$WORKDIR/snapshotc" -app "$SNAPAPP" -o "$WORKDIR/app.snap" -verify -q
+		"$WORKDIR/snapshotc" -app "$SNAPAPP" -o "$WORKDIR/app.snap" -q
 		"$WORKDIR/snapshotc" -app "$SNAPAPP" -o "$WORKDIR/again.snap" -q
 		cmp "$WORKDIR/app.snap" "$WORKDIR/again.snap"
 		go build -o "$WORKDIR/reviewsolver" ./cmd/reviewsolver
@@ -71,16 +74,10 @@ run_step() {
 		diff "$WORKDIR/direct.out" "$WORKDIR/loaded.out"
 		;;
 	benchgate)
-		# Paper tables, kernel scans, telemetry totals, front-end allocs,
-		# the snapshot image and the exact fleetobs gate.
+		# Paper tables, kernel scans, telemetry totals, front-end allocs and
+		# the snapshot image. (TestFleetObsGolden in the test step pins
+		# bench/BENCH_FLEETOBS.json exactly.)
 		go run ./cmd/benchgate -dir "${BENCHDIR:-bench}" -tol "${TOL:-0.02}"
-		;;
-	fleetobs-smoke)
-		# The reviewd -fleetstat artifact is byte-identical across runs.
-		go build -o "$WORKDIR/reviewd" ./cmd/reviewd
-		"$WORKDIR/reviewd" -fleetstat "$WORKDIR/fleetstat-a.json" -q
-		"$WORKDIR/reviewd" -fleetstat "$WORKDIR/fleetstat-b.json" -q
-		cmp "$WORKDIR/fleetstat-a.json" "$WORKDIR/fleetstat-b.json"
 		;;
 	bench)
 		# One iteration of the kernel, end-to-end localization, corpus

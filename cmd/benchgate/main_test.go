@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,12 +10,11 @@ import (
 )
 
 // fakeGate returns a gate whose collector yields m.
-func fakeGate(exact bool, m map[string]float64) *gate {
+func fakeGate(m map[string]float64) *gate {
 	return &gate{
 		name:    "fake",
 		file:    "BENCH_FAKE.json",
 		title:   "Fake gate",
-		exact:   exact,
 		collect: func() (map[string]float64, error) { return m, nil },
 	}
 }
@@ -43,7 +41,7 @@ func readFile(t *testing.T, path string) []byte {
 func TestCheckCreatesMissingBaseline(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := check(&out, dir, []*gate{fakeGate(false, map[string]float64{"a": 1})}, 0.02, false); err != nil {
+	if err := check(&out, dir, []*gate{fakeGate(map[string]float64{"a": 1})}, 0.02, false); err != nil {
 		t.Fatalf("check with no baseline = %v, want a clean skip", err)
 	}
 	if !strings.Contains(out.String(), "baseline created") {
@@ -65,7 +63,7 @@ func TestCheckDriftFailsAndKeepsBaseline(t *testing.T) {
 	before := readFile(t, path)
 
 	var out bytes.Buffer
-	err := check(&out, dir, []*gate{fakeGate(false, map[string]float64{"a": 103, "b": 5})}, 0.02, false)
+	err := check(&out, dir, []*gate{fakeGate(map[string]float64{"a": 103, "b": 5})}, 0.02, false)
 	if err == nil {
 		t.Fatal("3% drift passed a 2% gate")
 	}
@@ -75,7 +73,7 @@ func TestCheckDriftFailsAndKeepsBaseline(t *testing.T) {
 	if !bytes.Equal(readFile(t, path), before) {
 		t.Fatal("a failed gate rewrote its baseline")
 	}
-	if err := check(&out, dir, []*gate{fakeGate(false, map[string]float64{"a": 101.5, "b": 5})}, 0.02, false); err != nil {
+	if err := check(&out, dir, []*gate{fakeGate(map[string]float64{"a": 101.5, "b": 5})}, 0.02, false); err != nil {
 		t.Fatalf("1.5%% drift failed a 2%% gate: %v", err)
 	}
 }
@@ -84,7 +82,7 @@ func TestCheckVanishedAndNewKeysFail(t *testing.T) {
 	dir := t.TempDir()
 	writeBaseline(t, dir, seed, map[string]float64{"kept": 1, "gone": 2})
 	var out bytes.Buffer
-	err := check(&out, dir, []*gate{fakeGate(false, map[string]float64{"kept": 1, "fresh": 3})}, 0.02, false)
+	err := check(&out, dir, []*gate{fakeGate(map[string]float64{"kept": 1, "fresh": 3})}, 0.02, false)
 	if err == nil {
 		t.Fatal("a vanished and a new metric passed the gate")
 	}
@@ -100,7 +98,7 @@ func TestCheckUpdateRewritesBaseline(t *testing.T) {
 	path := writeBaseline(t, dir, seed, map[string]float64{"a": 100, "gone": 1})
 	var out bytes.Buffer
 	cur := map[string]float64{"a": 150, "fresh": 2}
-	if err := check(&out, dir, []*gate{fakeGate(false, cur)}, 0.02, true); err != nil {
+	if err := check(&out, dir, []*gate{fakeGate(cur)}, 0.02, true); err != nil {
 		t.Fatalf("-update = %v, want success", err)
 	}
 	sf, err := readSnapshot(path)
@@ -110,7 +108,7 @@ func TestCheckUpdateRewritesBaseline(t *testing.T) {
 	if !reflect.DeepEqual(sf.Metrics, cur) {
 		t.Fatalf("updated baseline metrics = %v, want %v", sf.Metrics, cur)
 	}
-	if err := check(&out, dir, []*gate{fakeGate(false, cur)}, 0, false); err != nil {
+	if err := check(&out, dir, []*gate{fakeGate(cur)}, 0, false); err != nil {
 		t.Fatalf("rerun against the updated baseline = %v", err)
 	}
 }
@@ -121,30 +119,13 @@ func TestCheckRejectsForeignSeed(t *testing.T) {
 	before := readFile(t, path)
 	for _, update := range []bool{false, true} {
 		var out bytes.Buffer
-		err := check(&out, dir, []*gate{fakeGate(false, map[string]float64{"a": 1})}, 0.02, update)
+		err := check(&out, dir, []*gate{fakeGate(map[string]float64{"a": 1})}, 0.02, update)
 		if err == nil || !strings.Contains(err.Error(), "baseline seed 2") {
 			t.Fatalf("update=%v: baseline with seed 2 = %v, want a seed error", update, err)
 		}
 	}
 	if !bytes.Equal(readFile(t, path), before) {
 		t.Fatal("a baseline with a foreign seed was rewritten")
-	}
-}
-
-func TestExactGateRejectsOneULP(t *testing.T) {
-	const v = 0.1
-	next := math.Nextafter(v, 1)
-	for _, tc := range []struct {
-		exact bool
-		pass  bool
-	}{{exact: false, pass: true}, {exact: true, pass: false}} {
-		dir := t.TempDir()
-		writeBaseline(t, dir, seed, map[string]float64{"x": v})
-		var out bytes.Buffer
-		err := check(&out, dir, []*gate{fakeGate(tc.exact, map[string]float64{"x": next})}, 0.02, false)
-		if (err == nil) != tc.pass {
-			t.Errorf("exact=%v: one-ulp change gave %v, want pass=%v", tc.exact, err, tc.pass)
-		}
 	}
 }
 

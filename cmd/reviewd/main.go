@@ -93,14 +93,9 @@ func run() error {
 		journalCap = flag.Int("journal", 0, "registry lifecycle event journal capacity for /v1/events; 0 disables it")
 		sloAvail   = flag.Float64("slo", 0, "availability objective (e.g. 0.999) enabling /v1/fleetstat SLO tracking; 0 disables it")
 		sloLatency = flag.Duration("slo-latency", 500*time.Millisecond, "per-request latency objective for the SLO fast-ratio")
-		fleetstat  = flag.String("fleetstat", "", "run the deterministic fleet-observability scenario, write its SLO digest JSON to this file, and exit")
 	)
 	flag.Var(&snaps, "snapshot", "register app[@version]=path at boot (repeatable)")
 	flag.Parse()
-
-	if *fleetstat != "" {
-		return writeFleetstat(*fleetstat, *seed, *quiet)
-	}
 
 	met := obs.NewRegistry()
 	cfg := serve.Config{
@@ -151,25 +146,4 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "reviewd: draining...")
 	}
 	return d.Close()
-}
-
-// writeFleetstat runs the deterministic fleet-observability scenario and
-// writes the resulting SLO digest artifact. For a fixed seed the bytes are
-// identical across runs and machines — CI runs it twice and diffs.
-func writeFleetstat(path string, seed int64, quiet bool) error {
-	res, err := serve.RunFleetSim(seed, 2)
-	if err != nil {
-		return err
-	}
-	if err := obs.ValidateFleetDigestJSON(res.DigestJSON); err != nil {
-		return fmt.Errorf("fleetstat self-check: %w", err)
-	}
-	if err := os.WriteFile(path, res.DigestJSON, 0o644); err != nil {
-		return err
-	}
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "reviewd: fleet digest for %d apps (%d journal events, %d traces) → %s\n",
-			len(res.Digest.Apps), len(res.Events), res.TracesStored, path)
-	}
-	return nil
 }

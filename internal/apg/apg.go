@@ -7,7 +7,6 @@ package apg
 
 import (
 	"sort"
-	"strings"
 	"sync"
 
 	"reviewsolver/internal/apk"
@@ -121,19 +120,6 @@ func (g *Graph) mcg() {
 			}
 		}
 	})
-}
-
-// Release returns the release the graph was built from.
-func (g *Graph) Release() *apk.Release { return g.release }
-
-// Method returns the app method with the given qualified name. Method names
-// never contain '.', so the last dot splits class from method.
-func (g *Graph) Method(qualified string) (*apk.Method, bool) {
-	i := strings.LastIndexByte(qualified, '.')
-	if i < 0 {
-		return nil, false
-	}
-	return g.MethodRef(qualified[:i], qualified[i+1:])
 }
 
 // MethodRef returns the app method declared on class with the given name.

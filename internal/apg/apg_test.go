@@ -2,11 +2,27 @@ package apg
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"reviewsolver/internal/apk"
 )
+
+// assign builds the copy statement def = use.
+func assign(def, use string) apk.Statement {
+	return apk.Statement{Op: apk.OpAssign, Def: def, Uses: []string{use}}
+}
+
+// Method returns the app method with the given qualified name. Method names
+// never contain '.', so the last dot splits class from method.
+func (g *Graph) Method(qualified string) (*apk.Method, bool) {
+	i := strings.LastIndexByte(qualified, '.')
+	if i < 0 {
+		return nil, false
+	}
+	return g.MethodRef(qualified[:i], qualified[i+1:])
+}
 
 func testRelease() *apk.Release {
 	b := apk.NewBuilder("com.test.app", "TestApp")
@@ -19,11 +35,11 @@ func testRelease() *apk.Release {
 	b.Class("com.test.app.Mailer").
 		Method("sendAll",
 			apk.Invoke("", "android.telephony.SmsManager", "sendTextMessage"),
-			apk.Throw("SendException")).
+			apk.Statement{Op: apk.OpThrow, Exception: "SendException"}).
 		Method("openCamera",
 			apk.ConstString("act", "android.media.action.IMAGE_CAPTURE"),
 			apk.NewObj("intent", "android.content.Intent"),
-			apk.Assign("payload", "act"),
+			assign("payload", "act"),
 			apk.Invoke("", "android.app.Activity", "startActivityForResult", "payload", "intent"))
 	b.Class("com.test.app.Contacts").
 		Method("queryContacts",

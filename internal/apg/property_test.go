@@ -37,7 +37,7 @@ func randomRelease(seed int64, classes, methodsPerClass, stmtsPerMethod int) *ap
 				case 1:
 					stmts = append(stmts, apk.NewObj(v, "android.content.Intent"))
 				case 2:
-					stmts = append(stmts, apk.Assign(v, vars[rng.Intn(len(vars))]))
+					stmts = append(stmts, assign(v, vars[rng.Intn(len(vars))]))
 				case 3:
 					callee := callees[rng.Intn(len(callees))]
 					uses := []string{vars[rng.Intn(len(vars))]}
@@ -116,9 +116,9 @@ func TestSelfAssignmentCycle(t *testing.T) {
 	b.Release("1", 1, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC))
 	b.Class("p.C").Method("m",
 		apk.ConstString("a", "seed"),
-		apk.Assign("a", "a"),
-		apk.Assign("b", "a"),
-		apk.Assign("a", "b"),
+		assign("a", "a"),
+		assign("b", "a"),
+		assign("a", "b"),
 		apk.Invoke("", "android.widget.Toast", "makeText", "a"))
 	g := Build(b.Build().Latest())
 	sites := g.CallSitesOf("android.widget.Toast", "makeText")

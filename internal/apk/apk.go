@@ -242,12 +242,6 @@ type Statement struct {
 	Exception string `json:"exception,omitempty"`
 }
 
-// IsInvoke reports whether the statement is an invocation.
-func (s Statement) IsInvoke() bool { return s.Op == OpInvoke }
-
-// Callee returns "class.method" for invoke statements.
-func (s Statement) Callee() string { return s.InvokeClass + "." + s.InvokeMethod }
-
 // Layout is a layout resource with its widget tree.
 type Layout struct {
 	// ID is the layout resource name, e.g. "account_setup_basics".
@@ -285,12 +279,6 @@ func (w *Widget) Walk(visit func(*Widget)) {
 func (r *Release) FindClass(name string) (*Class, bool) {
 	c, ok := r.index().byName[name]
 	return c, ok
-}
-
-// ClassNames returns all class names, sorted. The sorted list is cached in
-// the release index; callers receive a private copy.
-func (r *Release) ClassNames() []string {
-	return append([]string(nil), r.index().names...)
 }
 
 // StartingActivity returns the activity declared with MAIN/LAUNCHER

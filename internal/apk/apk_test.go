@@ -160,9 +160,6 @@ func TestStatementConstructors(t *testing.T) {
 	if ConstString("s", "x").Op != OpConstString {
 		t.Error("ConstString op wrong")
 	}
-	if Throw("IOException").Exception != "IOException" {
-		t.Error("Throw exception wrong")
-	}
 	if got := Catch("E").Op.String(); got != "catch" {
 		t.Errorf("op string = %q", got)
 	}
@@ -180,6 +177,30 @@ func TestClassShortName(t *testing.T) {
 	if c.ShortName() != "LoginActivity" {
 		t.Errorf("ShortName = %q", c.ShortName())
 	}
+}
+
+// IsInvoke reports whether the statement is an invocation.
+func (s Statement) IsInvoke() bool { return s.Op == OpInvoke }
+
+// Callee returns "class.method" for invoke statements.
+func (s Statement) Callee() string { return s.InvokeClass + "." + s.InvokeMethod }
+
+// RemoveClass deletes a class from the current release (app evolution).
+func (b *Builder) RemoveClass(name string) *Builder {
+	classes := b.cur.Classes[:0]
+	for _, c := range b.cur.Classes {
+		if c.Name != name {
+			classes = append(classes, c)
+		}
+	}
+	b.cur.Classes = classes
+	return b
+}
+
+// ClassNames returns all class names, sorted. The sorted list is cached in
+// the release index; callers receive a private copy.
+func (r *Release) ClassNames() []string {
+	return append([]string(nil), r.index().names...)
 }
 
 func TestRemoveClass(t *testing.T) {

@@ -99,18 +99,6 @@ func (b *Builder) CopyRelease(version string, code int, releasedAt time.Time) *B
 	return b
 }
 
-// RemoveClass deletes a class from the current release (app evolution).
-func (b *Builder) RemoveClass(name string) *Builder {
-	classes := b.cur.Classes[:0]
-	for _, c := range b.cur.Classes {
-		if c.Name != name {
-			classes = append(classes, c)
-		}
-	}
-	b.cur.Classes = classes
-	return b
-}
-
 // CurrentRelease exposes the release being built.
 func (b *Builder) CurrentRelease() *Release { return b.cur }
 
@@ -126,12 +114,6 @@ type ClassBuilder struct {
 	c *Class
 }
 
-// Super sets the superclass.
-func (cb *ClassBuilder) Super(name string) *ClassBuilder {
-	cb.c.Super = name
-	return cb
-}
-
 // Method adds a method with the given statements.
 func (cb *ClassBuilder) Method(name string, stmts ...Statement) *ClassBuilder {
 	cb.c.Methods = append(cb.c.Methods, &Method{
@@ -141,9 +123,6 @@ func (cb *ClassBuilder) Method(name string, stmts ...Statement) *ClassBuilder {
 	})
 	return cb
 }
-
-// Done returns to the app builder.
-func (cb *ClassBuilder) Done() *Builder { return cb.b }
 
 // Statement constructors keep the IR terse at build sites.
 
@@ -157,20 +136,10 @@ func NewObj(def, class string) Statement {
 	return Statement{Op: OpNew, Def: def, InvokeClass: class}
 }
 
-// Assign copies a value: def = use.
-func Assign(def, use string) Statement {
-	return Statement{Op: OpAssign, Def: def, Uses: []string{use}}
-}
-
 // Invoke calls class.method(uses...) with an optional result local.
 func Invoke(def, class, method string, uses ...string) Statement {
 	return Statement{Op: OpInvoke, Def: def, InvokeClass: class,
 		InvokeMethod: method, Uses: uses}
-}
-
-// Throw raises an exception type.
-func Throw(exception string) Statement {
-	return Statement{Op: OpThrow, Exception: exception}
 }
 
 // Catch handles an exception type.

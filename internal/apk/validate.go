@@ -1,21 +1,6 @@
 package apk
 
-import (
-	"fmt"
-	"strings"
-)
-
-// ValidationIssue describes one inconsistency found in an app IR.
-type ValidationIssue struct {
-	// Release is the version the issue was found in.
-	Release string
-	// Message describes the problem.
-	Message string
-}
-
-func (i ValidationIssue) String() string {
-	return fmt.Sprintf("%s: %s", i.Release, i.Message)
-}
+import "fmt"
 
 // ReleaseOrderError reports that App.Releases is not sorted the way
 // ReleaseBefore (and everything downstream of it) assumes: release times
@@ -63,72 +48,4 @@ func (a *App) CheckReleaseOrder() error {
 		}
 	}
 	return nil
-}
-
-// Validate checks the structural invariants of an app IR: unique class
-// names per release, activity declarations backed by classes, layout
-// references that resolve, string-resource references that resolve, and
-// method ownership consistency. It returns all issues found (empty for a
-// well-formed app). Loaders call it after LoadJSON; generators use it as a
-// self-check.
-func (a *App) Validate() []ValidationIssue {
-	var issues []ValidationIssue
-	add := func(release, format string, args ...interface{}) {
-		issues = append(issues, ValidationIssue{
-			Release: release,
-			Message: fmt.Sprintf(format, args...),
-		})
-	}
-	if a.Package == "" {
-		add("-", "app has no package id")
-	}
-	if err := a.CheckReleaseOrder(); err != nil {
-		oe := err.(*ReleaseOrderError)
-		add(oe.Next, "%s", err.Error())
-	}
-	for _, r := range a.Releases {
-		seen := make(map[string]struct{}, len(r.Classes))
-		for _, c := range r.Classes {
-			if _, dup := seen[c.Name]; dup {
-				add(r.Version, "duplicate class %s", c.Name)
-			}
-			seen[c.Name] = struct{}{}
-			for _, m := range c.Methods {
-				if m.Class != c.Name {
-					add(r.Version, "method %s claims class %s but is declared in %s",
-						m.Name, m.Class, c.Name)
-				}
-			}
-		}
-		layouts := make(map[string]struct{}, len(r.Layouts))
-		for _, l := range r.Layouts {
-			layouts[l.ID] = struct{}{}
-		}
-		for _, act := range r.Manifest.Activities {
-			if _, ok := seen[act.Name]; !ok {
-				add(r.Version, "activity %s has no class", act.Name)
-			}
-			if act.LayoutID != "" {
-				if _, ok := layouts[act.LayoutID]; !ok {
-					add(r.Version, "activity %s references missing layout %s",
-						act.Name, act.LayoutID)
-				}
-			}
-		}
-		// String-resource references in widgets must resolve.
-		for _, l := range r.Layouts {
-			l.Root.Walk(func(w *Widget) {
-				for _, ref := range []string{w.Text, w.Hint} {
-					id, ok := strings.CutPrefix(ref, "@string/")
-					if !ok {
-						continue
-					}
-					if _, exists := r.StringRes[id]; !exists {
-						add(r.Version, "layout %s references missing string resource %q", l.ID, id)
-					}
-				}
-			})
-		}
-	}
-	return issues
 }

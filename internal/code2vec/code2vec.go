@@ -215,32 +215,3 @@ func nameWords(name string) []string {
 	}
 	return out
 }
-
-// NameWords exposes the label-word splitting for evaluation code.
-func NameWords(name string) []string { return nameWords(name) }
-
-// EvaluateRecovery measures the fraction of true name words recovered in
-// the top-k predictions over a release — the paper's obfuscation
-// experiment (§3.3.2 reports 34.4% with real Code2vec).
-func (m *Model) EvaluateRecovery(r *apk.Release, k int) (recovered, total int) {
-	for _, c := range r.Classes {
-		for _, meth := range c.Methods {
-			truth := nameWords(meth.Name)
-			if len(truth) == 0 {
-				continue
-			}
-			pred := m.Predict(meth, k)
-			predSet := make(map[string]struct{}, len(pred))
-			for _, w := range pred {
-				predSet[w] = struct{}{}
-			}
-			for _, w := range truth {
-				total++
-				if _, ok := predSet[w]; ok {
-					recovered++
-				}
-			}
-		}
-	}
-	return recovered, total
-}

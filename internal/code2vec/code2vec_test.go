@@ -71,12 +71,12 @@ func TestNameWords(t *testing.T) {
 		{"a", nil},
 	}
 	for _, tt := range tests {
-		got := NameWords(tt.in)
+		got := nameWords(tt.in)
 		if len(got) == 0 {
 			got = nil
 		}
 		if !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("NameWords(%q) = %v, want %v", tt.in, got, tt.want)
+			t.Errorf("nameWords(%q) = %v, want %v", tt.in, got, tt.want)
 		}
 	}
 }
@@ -178,4 +178,30 @@ func TestTrainSkipsObfuscatedNames(t *testing.T) {
 	if model.VocabSize() != 0 {
 		t.Errorf("obfuscated names should not train: vocab = %d", model.VocabSize())
 	}
+}
+
+// EvaluateRecovery measures the fraction of true name words recovered in
+// the top-k predictions over a release — the paper's obfuscation
+// experiment (§3.3.2 reports 34.4% with real Code2vec).
+func (m *Model) EvaluateRecovery(r *apk.Release, k int) (recovered, total int) {
+	for _, c := range r.Classes {
+		for _, meth := range c.Methods {
+			truth := nameWords(meth.Name)
+			if len(truth) == 0 {
+				continue
+			}
+			pred := m.Predict(meth, k)
+			predSet := make(map[string]struct{}, len(pred))
+			for _, w := range pred {
+				predSet[w] = struct{}{}
+			}
+			for _, w := range truth {
+				total++
+				if _, ok := predSet[w]; ok {
+					recovered++
+				}
+			}
+		}
+	}
+	return recovered, total
 }

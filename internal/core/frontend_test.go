@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -62,13 +63,17 @@ func TestAnalyzeReviewCacheDeterminism(t *testing.T) {
 }
 
 // TestLocalizeCorpusMatchesBatch checks the streaming batch API: results
-// arrive in input order and are identical to Pool.Localize, at several
-// worker counts, over a shared warm snapshot.
+// arrive in input order and are identical to a sequential solver's, at
+// several worker counts, over a shared warm snapshot.
 func TestLocalizeCorpusMatchesBatch(t *testing.T) {
 	datas, inputs := poolInputs(20)
 	app := datas[0].App
 	sn := NewSnapshot()
-	want := NewPoolWithSnapshot(1, sn).Localize(app, inputs)
+	seq := NewWithSnapshot(sn)
+	want := make([]*Result, len(inputs))
+	for i, in := range inputs {
+		want[i] = seq.LocalizeReview(app, in.Text, in.PublishedAt)
+	}
 
 	for _, workers := range []int{1, 2, 4} {
 		p := NewPoolWithSnapshot(workers, sn)
@@ -80,15 +85,15 @@ func TestLocalizeCorpusMatchesBatch(t *testing.T) {
 			close(in)
 		}()
 		i := 0
-		for cr := range p.LocalizeCorpus(app, in) {
+		for cr := range p.LocalizeCorpusContext(context.Background(), app, in) {
 			if cr.Index != i {
 				t.Fatalf("workers=%d: result %d arrived with index %d", workers, i, cr.Index)
 			}
 			if !reflect.DeepEqual(cr.Result.Mappings, want[i].Mappings) {
-				t.Fatalf("workers=%d review %d: corpus mappings differ from batch", workers, i)
+				t.Fatalf("workers=%d review %d: corpus mappings differ from sequential", workers, i)
 			}
 			if !reflect.DeepEqual(cr.Result.Ranked, want[i].Ranked) {
-				t.Fatalf("workers=%d review %d: corpus ranking differs from batch", workers, i)
+				t.Fatalf("workers=%d review %d: corpus ranking differs from sequential", workers, i)
 			}
 			i++
 		}

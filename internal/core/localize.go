@@ -563,7 +563,7 @@ func (s *Solver) localizeAPIURIIntent(e emitter, in localizeInput) []Mapping {
 			sc.Merge(esc)
 			sim := 0.0
 			if matched {
-				sim = threshold // AnyAtLeast stops at the hit; record the floor
+				sim = threshold // AnyAtLeastCount stops at the hit; record the floor
 			}
 			// Permission-protected personal data: collection verb + object
 			// similar to the permission nouns (cached per entry — the seed

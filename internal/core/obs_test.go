@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"reviewsolver/internal/obs"
@@ -59,7 +61,7 @@ func TestTraceByteDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("review %d: %v", i, err)
 			}
-			if err := obs.ValidateTraceJSON(jsonBytes); err != nil {
+			if err := validateTraceJSON(jsonBytes); err != nil {
 				t.Fatalf("review %d: %v", i, err)
 			}
 			out[i] = jsonBytes
@@ -170,50 +172,27 @@ func TestTraceContent(t *testing.T) {
 	}
 }
 
-// TestPoolLocalizeTraced runs the traced pool end to end (the -race gate
-// covers the registry and trace aggregation under concurrency) and checks
-// the registry totals, the drained gauges, the span log, and that the
-// traces do not depend on the worker count.
+// TestPoolLocalizeTraced runs an observed pool end to end (the -race gate
+// covers the registry under concurrency) and checks the results against a
+// sequential solver, the registry totals, the drained gauges and the span
+// log.
 func TestPoolLocalizeTraced(t *testing.T) {
 	apps, inputs := poolInputs(40)
 	app := apps[0].App
 
 	var spanLog bytes.Buffer
 	reg := obs.NewRegistry()
-	sn := NewSnapshot()
-	pool := NewPoolWithSnapshot(4, sn).WithObserver(obs.NewRecorder(reg, slog.New(slog.NewTextHandler(&spanLog, nil))))
-	results, traces := pool.LocalizeTraced(app, inputs)
-	_, traces2 := NewPoolWithSnapshot(2, sn).WithObserver(obs.NewRecorder(obs.NewRegistry(), nil)).LocalizeTraced(app, inputs)
+	pool := NewPoolWithSnapshot(4, NewSnapshot()).WithObserver(obs.NewRecorder(reg, slog.New(slog.NewTextHandler(&spanLog, nil))))
+	results := pool.Localize(app, inputs)
 
-	if len(results) != len(inputs) || len(traces) != len(inputs) {
-		t.Fatalf("got %d results / %d traces for %d inputs", len(results), len(traces), len(inputs))
+	if len(results) != len(inputs) {
+		t.Fatalf("got %d results for %d inputs", len(results), len(inputs))
 	}
 	seq := New()
 	for i, in := range inputs {
 		want := seq.LocalizeReview(app, in.Text, in.PublishedAt)
 		if !reflect.DeepEqual(results[i].Mappings, want.Mappings) {
-			t.Fatalf("input %d: traced pool mappings differ from sequential", i)
-		}
-		if traces[i] == nil {
-			t.Fatalf("input %d: nil trace", i)
-		}
-		if traces[i].Pool == nil || traces[i].Pool.Workers != pool.Size() {
-			t.Fatalf("input %d: pool occupancy block missing or wrong: %+v", i, traces[i].Pool)
-		}
-		jsonBytes, err := traces[i].JSON()
-		if err != nil {
-			t.Fatalf("input %d: %v", i, err)
-		}
-		if err := obs.ValidateTraceJSON(jsonBytes); err != nil {
-			t.Fatalf("input %d: %v", i, err)
-		}
-		// Only the pool occupancy block may depend on scheduling.
-		four, two := *traces[i], *traces2[i]
-		four.Pool, two.Pool = nil, nil
-		a, errA := four.JSON()
-		b, errB := two.JSON()
-		if errA != nil || errB != nil || !bytes.Equal(a, b) {
-			t.Fatalf("input %d: trace differs between 4 and 2 workers (errors %v, %v)", i, errA, errB)
+			t.Fatalf("input %d: observed pool mappings differ from sequential", i)
 		}
 	}
 	if spanLog.Len() == 0 {
@@ -290,4 +269,145 @@ func TestTraceJSONOmitsWallClock(t *testing.T) {
 			t.Errorf("trace has wall-clock field %q", banned)
 		}
 	}
+}
+
+// goldenTrace decodes the committed explain trace of the seed-1 K-9 review
+// "cannot fetch mail since the latest update" (TestExplainTraceGolden): one
+// method-name match, three scans and one ranked class.
+func goldenTrace(t *testing.T) *obs.ReviewTrace {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "explain_fetch_mail.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr obs.ReviewTrace
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTraceJSON(data); err != nil {
+		t.Fatalf("committed trace rejected: %v", err)
+	}
+	return &tr
+}
+
+func TestValidateTraceJSONRejections(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*obs.ReviewTrace)
+		wantErr string
+	}{
+		{"wrong schema", func(tr *obs.ReviewTrace) { tr.SchemaVersion = 99 }, "schema_version"},
+		{"empty review", func(tr *obs.ReviewTrace) { tr.Review = "" }, "empty review"},
+		{"match without source", func(tr *obs.ReviewTrace) { tr.Matches[0].Source = "" }, "no information source"},
+		{"match without class", func(tr *obs.ReviewTrace) { tr.Matches[0].Class = "" }, "no class"},
+		{"similarity out of range", func(tr *obs.ReviewTrace) { tr.Matches[0].Similarity = 1.5 }, "out of [0, 1]"},
+		{"scan over rows", func(tr *obs.ReviewTrace) { tr.Scans[0].Evaluated = 100 }, "> rows"},
+		{"scan matched over evaluated", func(tr *obs.ReviewTrace) { tr.Scans[0].Matched = 9 }, "matched 9 > evaluated"},
+		{"rank out of order", func(tr *obs.ReviewTrace) { tr.Ranked[0].Rank = 3 }, "has rank 3"},
+		{"ranked without matches", func(tr *obs.ReviewTrace) { tr.Ranked[0].Matches = nil }, "references no matches"},
+		{"ranked match out of range", func(tr *obs.ReviewTrace) { tr.Ranked[0].Matches = []int{5} }, "references match 5"},
+		{"ranked match wrong class", func(tr *obs.ReviewTrace) { tr.Ranked[0].Class = "com.other.Cls" }, "naming class"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := goldenTrace(t)
+			tc.mutate(tr)
+			data, err := tr.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = validateTraceJSON(data)
+			if err == nil {
+				t.Fatal("mutated trace validated cleanly")
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			}
+		})
+	}
+	if err := validateTraceJSON([]byte("{")); err == nil {
+		t.Error("malformed JSON validated cleanly")
+	}
+}
+
+// TestValidateAllowsEarlyExitScans: AnyAtLeast-style scans stop at the
+// first hit, so pruned+evaluated may undercount rows — that must validate.
+func TestValidateAllowsEarlyExitScans(t *testing.T) {
+	tr := goldenTrace(t)
+	tr.Scans[0] = obs.ScanTrace{
+		Stage: "api_uri_intent", Matrix: "catalog", Phrase: "fetch mail",
+		Rows: 300, Pruned: 10, Evaluated: 2, Matched: 1,
+	}
+	data, err := tr.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := validateTraceJSON(data); err != nil {
+		t.Fatalf("early-exit scan rejected: %v", err)
+	}
+}
+
+// validateTraceJSON checks raw bytes against the explain-trace schema: the
+// schema version must match, required fields must be present and typed,
+// and every ranked candidate must reference in-range match entries that
+// name a phrase, an information source, and a similarity. It is the
+// machine-checkable contract on every trace the solver writes.
+func validateTraceJSON(data []byte) error {
+	var t obs.ReviewTrace
+	if err := json.Unmarshal(data, &t); err != nil {
+		return fmt.Errorf("explain trace: not valid JSON: %w", err)
+	}
+	if t.SchemaVersion != obs.TraceSchemaVersion {
+		return fmt.Errorf("explain trace: schema_version %d, want %d", t.SchemaVersion, obs.TraceSchemaVersion)
+	}
+	if t.Review == "" {
+		return fmt.Errorf("explain trace: empty review text")
+	}
+	for i, m := range t.Matches {
+		switch {
+		case m.Phrase == "":
+			return fmt.Errorf("explain trace: match %d has no phrase", i)
+		case m.Class == "":
+			return fmt.Errorf("explain trace: match %d has no class", i)
+		case m.Source == "":
+			return fmt.Errorf("explain trace: match %d has no information source", i)
+		case m.Stage == "":
+			return fmt.Errorf("explain trace: match %d has no stage", i)
+		case m.Similarity < 0 || m.Similarity > 1.0000001:
+			return fmt.Errorf("explain trace: match %d similarity %v out of [0, 1]", i, m.Similarity)
+		}
+	}
+	for i, s := range t.Scans {
+		// Early-exit scans (Algorithm 1's per-entry break) touch fewer rows
+		// than the matrix holds; they can never touch more.
+		if s.Pruned+s.Evaluated > s.Rows {
+			return fmt.Errorf("explain trace: scan %d pruned %d + evaluated %d > rows %d",
+				i, s.Pruned, s.Evaluated, s.Rows)
+		}
+		if s.Matched > s.Evaluated {
+			return fmt.Errorf("explain trace: scan %d matched %d > evaluated %d", i, s.Matched, s.Evaluated)
+		}
+	}
+	for i, rc := range t.Ranked {
+		if rc.Rank != i+1 {
+			return fmt.Errorf("explain trace: ranked %d has rank %d, want %d", i, rc.Rank, i+1)
+		}
+		if rc.Class == "" {
+			return fmt.Errorf("explain trace: ranked %d has no class", i)
+		}
+		if len(rc.Matches) == 0 {
+			return fmt.Errorf("explain trace: ranked class %s references no matches", rc.Class)
+		}
+		for _, mi := range rc.Matches {
+			if mi < 0 || mi >= len(t.Matches) {
+				return fmt.Errorf("explain trace: ranked class %s references match %d of %d",
+					rc.Class, mi, len(t.Matches))
+			}
+			if t.Matches[mi].Class != rc.Class {
+				return fmt.Errorf("explain trace: ranked class %s references match %d naming class %s",
+					rc.Class, mi, t.Matches[mi].Class)
+			}
+		}
+	}
+	return nil
 }

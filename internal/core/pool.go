@@ -24,7 +24,6 @@ type ReviewInput struct {
 // warm-up cost are flat in the worker count. Results are returned in input
 // order regardless of completion order.
 type Pool struct {
-	snap    *Snapshot
 	solver  *Solver
 	workers int
 }
@@ -43,7 +42,6 @@ func NewPool(n int, opts ...Option) *Pool {
 // precomputed state. n follows the NewPool convention.
 func NewPoolWithSnapshot(n int, sn *Snapshot) *Pool {
 	return &Pool{
-		snap:    sn,
 		solver:  NewWithSnapshot(sn),
 		workers: normalizeWorkers(n),
 	}
@@ -65,9 +63,6 @@ func normalizeWorkers(n int) int {
 // Size returns the number of workers.
 func (p *Pool) Size() int { return p.workers }
 
-// Snapshot returns the shared precomputed state backing the pool.
-func (p *Pool) Snapshot() *Snapshot { return p.snap }
-
 // WithObserver installs a telemetry recorder on the pool's shared solver.
 // Must be called before Localize; the pool then reports job counters and
 // queue/worker occupancy gauges alongside the per-review pipeline metrics.
@@ -77,73 +72,20 @@ func (p *Pool) WithObserver(rec *obs.Recorder) *Pool {
 }
 
 // Localize runs the full pipeline over the batch and returns one Result per
-// input, in input order. All workers exit before Localize returns. Localize
-// is itself safe to call concurrently: every worker reads through the
-// shared snapshot.
+// input, in input order, draining it through LocalizeCorpusContext. All
+// workers exit before Localize returns. Localize is itself safe to call
+// concurrently: every worker reads through the shared snapshot.
 func (p *Pool) Localize(app *apk.App, reviews []ReviewInput) []*Result {
-	results, _ := p.localize(app, reviews, false)
-	return results
-}
-
-// LocalizeTraced is Localize plus one explain trace per review (aligned
-// with the results slice). Each trace additionally records the pool
-// occupancy — queue depth and busy workers — observed when a worker picked
-// the review up; those two fields are scheduling-dependent, everything else
-// in the trace is deterministic.
-func (p *Pool) LocalizeTraced(app *apk.App, reviews []ReviewInput) ([]*Result, []*obs.ReviewTrace) {
-	return p.localize(app, reviews, true)
-}
-
-func (p *Pool) localize(app *apk.App, reviews []ReviewInput, traced bool) ([]*Result, []*obs.ReviewTrace) {
+	in := make(chan ReviewInput, len(reviews))
+	for _, r := range reviews {
+		in <- r
+	}
+	close(in)
 	results := make([]*Result, len(reviews))
-	var traces []*obs.ReviewTrace
-	if traced {
-		traces = make([]*obs.ReviewTrace, len(reviews))
+	for cr := range p.LocalizeCorpusContext(context.Background(), app, in) {
+		results[cr.Index] = cr.Result
 	}
-	if len(reviews) == 0 {
-		return results, traces
-	}
-	rec := p.solver.rec
-	queued := rec.Gauge(metricPoolQueueDepth)
-	busy := rec.Gauge(metricPoolBusy)
-	rec.Counter(metricPoolJobs).Add(int64(len(reviews)))
-	queued.Add(int64(len(reviews)))
-	workers := p.workers
-	if workers > len(reviews) {
-		workers = len(reviews)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				queued.Add(-1)
-				busy.Add(1)
-				if traced {
-					tr := obs.NewReviewTrace(reviews[i].Text)
-					tr.Pool = &obs.PoolTrace{
-						Workers:     p.workers,
-						QueueDepth:  int(queued.Value()),
-						BusyWorkers: int(busy.Value()),
-					}
-					traces[i] = tr
-					results[i] = p.solver.localizeReview(app, reviews[i].Text, reviews[i].PublishedAt, tr)
-				} else {
-					results[i] = p.solver.LocalizeReview(app, reviews[i].Text, reviews[i].PublishedAt)
-				}
-				busy.Add(-1)
-			}
-		}()
-	}
-	for i := range reviews {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	p.solver.publishFrontendGauges()
-	return results, traces
+	return results
 }
 
 // CorpusResult pairs a localization result with the input-order index of its
@@ -153,24 +95,20 @@ type CorpusResult struct {
 	Result *Result
 }
 
-// LocalizeCorpus streams a review corpus through the pool: reviews are read
-// from the input channel as workers free up, and results are emitted on the
-// returned channel in input order. Memory stays bounded by the worker count
-// — at most ~2× workers results are in flight (completed-but-unemitted
-// results wait in the reorder buffer, which backpressures the workers via
-// the bounded dones channel) — so corpora far larger than RAM can stream
-// through. The returned channel is closed after the last result.
-func (p *Pool) LocalizeCorpus(app *apk.App, reviews <-chan ReviewInput) <-chan CorpusResult {
-	return p.LocalizeCorpusContext(context.Background(), app, reviews)
-}
-
-// LocalizeCorpusContext is LocalizeCorpus under a context. When ctx ends,
-// the stream shuts down promptly: the feeder stops reading reviews, every
-// worker exits after (at most) the review it is currently localizing, and
-// the output channel closes — even if the consumer has walked away and no
-// longer drains it. No goroutine outlives the cancellation (property-tested
-// in pool_ctx_test.go). With an uncancelled context the emitted results are
-// exactly those of LocalizeCorpus.
+// LocalizeCorpusContext streams a review corpus through the pool: reviews
+// are read from the input channel as workers free up, and results are
+// emitted on the returned channel in input order. Memory stays bounded by
+// the worker count — at most ~2× workers results are in flight
+// (completed-but-unemitted results wait in the reorder buffer, which
+// backpressures the workers via the bounded dones channel) — so corpora far
+// larger than RAM can stream through. The returned channel is closed after
+// the last result.
+//
+// When ctx ends, the stream shuts down promptly: the feeder stops reading
+// reviews, every worker exits after (at most) the review it is currently
+// localizing, and the output channel closes — even if the consumer has
+// walked away and no longer drains it. No goroutine outlives the
+// cancellation (property-tested in pool_ctx_test.go).
 func (p *Pool) LocalizeCorpusContext(ctx context.Context, app *apk.App, reviews <-chan ReviewInput) <-chan CorpusResult {
 	out := make(chan CorpusResult, p.workers)
 	rec := p.solver.rec

@@ -74,7 +74,7 @@ func TestPoolEdgeCases(t *testing.T) {
 	if neg := NewPool(-3); neg.Size() != 1 {
 		t.Errorf("NewPool(-3).Size() = %d, want 1 (negative n is sequential)", neg.Size())
 	}
-	if pool.Snapshot() == nil {
+	if pool.solver.snap == nil {
 		t.Error("pool has no snapshot")
 	}
 }

@@ -30,7 +30,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"reviewsolver/internal/apk"
@@ -138,8 +137,13 @@ func cachedCatalogFingerprint(c *sdk.Catalog) uint32 {
 
 // EncodeSnapshot serializes a snapshot plus the app IR it was computed from
 // into a .snap image. Releases not yet extracted are precomputed first, so
-// callers can pass a fresh NewSnapshot.
+// callers can pass a fresh NewSnapshot. An app whose releases are out of
+// time order returns apk.CheckReleaseOrder's *apk.ReleaseOrderError: the
+// loader rejects such an image, so it could never serve.
 func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
+	if err := app.CheckReleaseOrder(); err != nil {
+		return nil, err
+	}
 	sn.PrecomputeApp(app)
 	s := sn.solver
 
@@ -169,15 +173,6 @@ func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
 		}
 	}
 	return w.Bytes(), nil
-}
-
-// SaveSnapshot encodes the snapshot and writes it to path.
-func SaveSnapshot(sn *Snapshot, app *apk.App, path string) error {
-	data, err := EncodeSnapshot(sn, app)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 func encodeCatalog(w *snapfile.Writer, t *catalogTable) {

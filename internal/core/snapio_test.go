@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -101,8 +102,12 @@ func TestLoadSnapshotMatchesBuild(t *testing.T) {
 func TestSaveLoadSnapshotFile(t *testing.T) {
 	data := synth.GenerateSample(5)
 	path := filepath.Join(t.TempDir(), "app.snap")
-	if err := SaveSnapshot(NewSnapshot(), data.App, path); err != nil {
-		t.Fatalf("SaveSnapshot: %v", err)
+	img, err := EncodeSnapshot(NewSnapshot(), data.App)
+	if err != nil {
+		t.Fatalf("EncodeSnapshot: %v", err)
+	}
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	loaded, lapp, err := LoadSnapshot(path)
 	if err != nil {
@@ -145,10 +150,23 @@ func rewriteSection(t *testing.T, img []byte, id uint32, mutate func(payload []b
 	return nil
 }
 
+// TestEncodeSnapshotRejectsReversedReleases: an image whose release
+// history is out of time order can never load, so the encoder refuses to
+// write it and returns the typed order error.
+func TestEncodeSnapshotRejectsReversedReleases(t *testing.T) {
+	app := synth.GenerateSample(1).App
+	slices.Reverse(app.Releases)
+	img, err := EncodeSnapshot(NewSnapshot(), app)
+	var oe *apk.ReleaseOrderError
+	if !errors.As(err, &oe) {
+		t.Fatalf("EncodeSnapshot = %d bytes, %v; want a *apk.ReleaseOrderError", len(img), err)
+	}
+}
+
 // TestLoadSnapshotTypedErrors: corrupt or incompatible images must surface
 // as the documented typed errors, never panics.
 func TestLoadSnapshotTypedErrors(t *testing.T) {
-	_, _, img := buildImage(t, 3)
+	data, _, img := buildImage(t, 3)
 
 	t.Run("truncated", func(t *testing.T) {
 		_, _, err := LoadSnapshotBytes(img[:len(img)/3])
@@ -235,13 +253,20 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("releases out of order", func(t *testing.T) {
-		app := synth.GenerateSample(3).App
+		// EncodeSnapshot refuses such an app, so write the reversed release
+		// history straight into the image's IR section.
+		app := *data.App
+		app.Releases = slices.Clone(app.Releases)
 		slices.Reverse(app.Releases)
-		bad, err := EncodeSnapshot(NewSnapshot(), app)
-		if err != nil {
-			t.Fatalf("EncodeSnapshot: %v", err)
-		}
-		_, _, err = LoadSnapshotBytes(bad)
+		ir := snapfile.NewEnc(0)
+		app.AppendBinary(ir)
+		bad := rewriteSection(t, img, secAppIR, func(p []byte) {
+			if len(p) != len(ir.Bytes()) {
+				t.Fatalf("reversed IR is %d bytes, section holds %d", len(ir.Bytes()), len(p))
+			}
+			copy(p, ir.Bytes())
+		})
+		_, _, err := LoadSnapshotBytes(bad)
 		var oe *apk.ReleaseOrderError
 		if !errors.Is(err, snapfile.ErrCorrupt) || !errors.As(err, &oe) {
 			t.Fatalf("err = %v, want ErrCorrupt wrapping a *apk.ReleaseOrderError", err)

@@ -47,7 +47,7 @@ func loadTemplate() *Solver {
 	return loadTemplateVal
 }
 
-// LoadSnapshot reads a .snap file written by SaveSnapshot / cmd/snapshotc
+// LoadSnapshot reads a .snap file written by cmd/snapshotc
 // and reconstructs the Snapshot plus the app IR it embeds. Options apply to
 // the snapshot's template solver (WithClassifier and WithObserver are the
 // expected ones); options that replace the embedding model or vocabulary

@@ -231,12 +231,6 @@ func New(opts ...Option) *Solver {
 	return s
 }
 
-// Catalog exposes the SDK catalog in use.
-func (s *Solver) Catalog() *sdk.Catalog { return s.catalog }
-
-// WordModel exposes the embedding model in use.
-func (s *Solver) WordModel() *wordvec.Model { return s.vec }
-
 // IsErrorReview runs the trained classifier on a review (§3.2.2). With no
 // classifier installed it returns true.
 func (s *Solver) IsErrorReview(text string) bool {

@@ -54,16 +54,6 @@ func (a *ActivityGUI) ContainsVisibleWord(word string) bool {
 	return ok
 }
 
-// InvisiblePhrases returns the expanded widget-id word lists joined as
-// phrases ("show password", "reply button").
-func (a *ActivityGUI) InvisiblePhrases() []string {
-	out := make([]string, 0, len(a.InvisibleWords))
-	for _, words := range a.InvisibleWords {
-		out = append(out, strings.Join(words, " "))
-	}
-	return out
-}
-
 // dynamicTextAPIs are the setters whose string arguments become visible
 // labels at runtime.
 var dynamicTextAPIs = []struct{ class, method string }{

@@ -2,11 +2,11 @@ package gui
 
 import (
 	"reflect"
-	"testing"
-	"time"
-
 	"reviewsolver/internal/apg"
 	"reviewsolver/internal/apk"
+	"strings"
+	"testing"
+	"time"
 )
 
 func testRelease() *apk.Release {
@@ -187,4 +187,14 @@ func TestRecoverSortedAndComplete(t *testing.T) {
 			t.Fatal("activities not sorted")
 		}
 	}
+}
+
+// InvisiblePhrases returns the expanded widget-id word lists joined as
+// phrases ("show password", "reply button").
+func (a *ActivityGUI) InvisiblePhrases() []string {
+	out := make([]string, 0, len(a.InvisibleWords))
+	for _, words := range a.InvisibleWords {
+		out = append(out, strings.Join(words, " "))
+	}
+	return out
 }

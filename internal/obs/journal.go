@@ -1,11 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // EventType classifies one registry lifecycle event.
 type EventType string
@@ -36,17 +31,6 @@ const (
 	// memory was released.
 	EventRetireFreed EventType = "retire_freed"
 )
-
-// KnownEventType reports whether t is part of the journal taxonomy.
-func KnownEventType(t EventType) bool {
-	switch t {
-	case EventRegister, EventHotSwap, EventLoad, EventLoadFailure,
-		EventQuarantineEnter, EventQuarantineExit, EventReprobe, EventEvict,
-		EventRetireFreed:
-		return true
-	}
-	return false
-}
 
 // Event is one journal record. Seq is assigned by the journal and strictly
 // increasing; UnixNs comes from the journal owner's injectable clock, so a
@@ -139,57 +123,4 @@ func (j *Journal) Stats() (total uint64, retained, capacity int, dropped uint64)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seq, j.n, j.cap, j.drops
-}
-
-// --- codec -------------------------------------------------------------------
-
-// Typed journal decode errors. DecodeEvents returns exactly these (wrapped
-// with positional context) and never panics — the /v1/events surface and
-// its fuzz target hold the decoder to that contract.
-var (
-	// ErrEventJSON: the payload is not a valid JSON event array.
-	ErrEventJSON = errors.New("journal: invalid event JSON")
-	// ErrEventType: an event carries an unknown type.
-	ErrEventType = errors.New("journal: unknown event type")
-	// ErrEventOrder: sequence numbers are not strictly increasing.
-	ErrEventOrder = errors.New("journal: sequence out of order")
-	// ErrEventShape: an event is structurally invalid (zero seq, empty app).
-	ErrEventShape = errors.New("journal: malformed event")
-)
-
-// EncodeEvents renders events as a deterministic JSON array (stable field
-// order, no indentation).
-func EncodeEvents(events []Event) ([]byte, error) {
-	if events == nil {
-		events = []Event{}
-	}
-	return json.Marshal(events)
-}
-
-// DecodeEvents parses and validates a JSON event array: well-formed JSON,
-// known types, non-zero strictly-increasing sequence numbers, and a
-// non-empty app on every record. All failures are typed; hostile input
-// never panics.
-func DecodeEvents(data []byte) ([]Event, error) {
-	var events []Event
-	if err := json.Unmarshal(data, &events); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrEventJSON, err)
-	}
-	var prev uint64
-	for i, e := range events {
-		if !KnownEventType(e.Type) {
-			return nil, fmt.Errorf("%w: event %d type %q", ErrEventType, i, e.Type)
-		}
-		if e.Seq == 0 {
-			return nil, fmt.Errorf("%w: event %d has zero seq", ErrEventShape, i)
-		}
-		if e.App == "" {
-			return nil, fmt.Errorf("%w: event %d has no app", ErrEventShape, i)
-		}
-		if e.Seq <= prev && i > 0 {
-			return nil, fmt.Errorf("%w: event %d seq %d after %d", ErrEventOrder, i, e.Seq, prev)
-		}
-		prev = e.Seq
-	}
-	return events, nil
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -59,57 +57,6 @@ func TestJournalRingDropsOldest(t *testing.T) {
 	}
 }
 
-func TestJournalCodecRoundTrip(t *testing.T) {
-	j := NewJournal(8, nil)
-	j.Record(EventQuarantineEnter, "a", "v1", "probe failed", 10)
-	j.Record(EventReprobe, "a", "v1", "", 20)
-	j.Record(EventQuarantineExit, "a", "v1", "", 30)
-	data, err := EncodeEvents(j.Events())
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeEvents(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 3 || back[1].Type != EventReprobe || back[0].Detail != "probe failed" {
-		t.Fatalf("round trip mismatch: %+v", back)
-	}
-	// Encoding is deterministic.
-	again, _ := EncodeEvents(j.Events())
-	if !bytes.Equal(data, again) {
-		t.Fatal("encoding not byte-deterministic")
-	}
-	// Empty journal encodes a valid empty array.
-	empty, _ := EncodeEvents(nil)
-	if string(empty) != "[]" {
-		t.Fatalf("nil events encoded %q", empty)
-	}
-}
-
-func TestDecodeEventsTypedErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		data string
-		want error
-	}{
-		{"not json", `{`, ErrEventJSON},
-		{"not array", `{"seq":1}`, ErrEventJSON},
-		{"unknown type", `[{"seq":1,"type":"explode","app":"a","unix_ns":1}]`, ErrEventType},
-		{"zero seq", `[{"seq":0,"type":"load","app":"a","unix_ns":1}]`, ErrEventShape},
-		{"empty app", `[{"seq":1,"type":"load","app":"","unix_ns":1}]`, ErrEventShape},
-		{"out of order", `[{"seq":2,"type":"load","app":"a","unix_ns":1},{"seq":2,"type":"load","app":"a","unix_ns":2}]`, ErrEventOrder},
-	}
-	for _, tc := range cases {
-		if _, err := DecodeEvents([]byte(tc.data)); !errors.Is(err, tc.want) {
-			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		}
-	}
-	if got, err := DecodeEvents([]byte(`[]`)); err != nil || len(got) != 0 {
-		t.Fatalf("empty array: %v %v", got, err)
-	}
-}
-
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	if e := j.Record(EventLoad, "a", "", "", 0); e.Seq != 0 {
@@ -128,40 +75,4 @@ func TestJournalNilSafety(t *testing.T) {
 	if len(j2.Events()) != 1 {
 		t.Fatal("metric-less journal should still retain events")
 	}
-}
-
-func FuzzDecodeEvents(f *testing.F) {
-	f.Add([]byte(`[]`))
-	f.Add([]byte(`[{"seq":1,"type":"load","app":"a","unix_ns":100}]`))
-	f.Add([]byte(`[{"seq":1,"type":"register","app":"com.x","version":"v1","detail":"d","unix_ns":1},{"seq":2,"type":"hot_swap","app":"com.x","version":"v2","unix_ns":2}]`))
-	f.Add([]byte(`[{"seq":2,"type":"load","app":"a"},{"seq":1,"type":"load","app":"a"}]`))
-	f.Add([]byte(`[{"seq":0,"type":"nope","app":""}]`))
-	f.Add([]byte(`{`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := DecodeEvents(data) // must never panic
-		if err != nil {
-			if !errors.Is(err, ErrEventJSON) && !errors.Is(err, ErrEventType) &&
-				!errors.Is(err, ErrEventOrder) && !errors.Is(err, ErrEventShape) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		// Accepted input must survive a re-encode/re-decode round trip.
-		enc, err := EncodeEvents(events)
-		if err != nil {
-			t.Fatalf("re-encode of accepted events failed: %v", err)
-		}
-		back, err := DecodeEvents(enc)
-		if err != nil {
-			t.Fatalf("re-decode of canonical encoding failed: %v", err)
-		}
-		if len(back) != len(events) {
-			t.Fatalf("round trip changed length: %d != %d", len(back), len(events))
-		}
-		for i := range back {
-			if back[i] != events[i] {
-				t.Fatalf("round trip changed event %d: %+v != %+v", i, back[i], events[i])
-			}
-		}
-	})
 }

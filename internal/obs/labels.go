@@ -127,20 +127,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.reg.Counter(v.childKey(values))
 }
 
-// GaugeVec is a family of gauges keyed by label values. Nil-safe.
-type GaugeVec struct {
-	vecCore
-	reg *Registry
-}
-
-// With returns the child gauge for the given label values. Nil-safe.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.reg.Gauge(v.childKey(values))
-}
-
 // HistogramVec is a family of histograms keyed by label values. Nil-safe.
 type HistogramVec struct {
 	vecCore
@@ -171,21 +157,6 @@ func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
 	if !ok {
 		v = &CounterVec{vecCore: newVecCore(name, labels), reg: r}
 		r.cvecs[name] = v
-	}
-	return v
-}
-
-// GaugeVec returns the named gauge vector, creating it on first use. Nil-safe.
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gvecs[name]
-	if !ok {
-		v = &GaugeVec{vecCore: newVecCore(name, labels), reg: r}
-		r.gvecs[name] = v
 	}
 	return v
 }

@@ -80,8 +80,8 @@ func TestVecArityMismatchGoesToOverflow(t *testing.T) {
 
 func TestLabelValueEscaping(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.GaugeVec("g", "k")
-	v.With("a\"b\\c\nd").Set(7)
+	v := reg.CounterVec("g", "k")
+	v.With("a\"b\\c\nd").Add(7)
 	want := `g{k="a\"b\\c\nd"}`
 	if got := reg.Snapshot()[want]; got != 7 {
 		t.Fatalf("escaped key %q = %v, want 7", want, got)
@@ -109,7 +109,6 @@ func TestHistogramVecChildren(t *testing.T) {
 func TestVecNilSafety(t *testing.T) {
 	var reg *Registry
 	reg.CounterVec("a", "l").With("x").Add(1)
-	reg.GaugeVec("b", "l").With("x").Set(1)
 	reg.HistogramVec("c", nil, "l").With("x").Observe(1)
 	var cv *CounterVec
 	cv.With("x").Add(1) // must not panic

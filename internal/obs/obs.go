@@ -111,22 +111,6 @@ func (sp *Span) Child(stage string) *Span {
 	return &Span{rec: sp.rec, stage: stage, parent: sp.stage, trace: sp.trace, start: time.Now()}
 }
 
-// TraceID returns the trace ID riding the span ("" on nil or untraced).
-func (sp *Span) TraceID() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.trace
-}
-
-// Stage returns the span's stage name ("" on nil).
-func (sp *Span) Stage() string {
-	if sp == nil {
-		return ""
-	}
-	return sp.stage
-}
-
 // End closes the span: it bumps the stage call counter, observes the
 // monotonic duration into the stage latency histogram
 // ("stage_<stage>_ns"), and — when the recorder has a logger — emits one

@@ -45,7 +45,6 @@ type Registry struct {
 	// the maps above under their rendered "name{k="v"}" keys, so Snapshot
 	// and WriteText expose labeled metrics with no extra machinery.
 	cvecs map[string]*CounterVec
-	gvecs map[string]*GaugeVec
 	hvecs map[string]*HistogramVec
 }
 
@@ -56,7 +55,6 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		cvecs:    make(map[string]*CounterVec),
-		gvecs:    make(map[string]*GaugeVec),
 		hvecs:    make(map[string]*HistogramVec),
 	}
 }

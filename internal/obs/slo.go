@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -225,61 +223,11 @@ func (t *SLOTracker) Digest() *FleetDigest {
 }
 
 // JSON encodes the digest with stable field order and indentation — the
-// /v1/fleetstat body and the `reviewd -fleetstat` artifact, byte-identical
-// for identical window state.
+// /v1/fleetstat body, byte-identical for identical window state.
 func (d *FleetDigest) JSON() ([]byte, error) {
 	data, err := json.MarshalIndent(d, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// ErrFleetDigest is the typed validation failure of ValidateFleetDigestJSON.
-var ErrFleetDigest = errors.New("fleet digest: invalid")
-
-// ValidateFleetDigestJSON checks raw bytes against the fleet digest schema:
-// version match, sorted unique apps, in-range ratios, and internally
-// consistent budget arithmetic. It is the machine-checkable contract the
-// fleetobs smoke enforces; all failures are typed and it never panics.
-func ValidateFleetDigestJSON(data []byte) error {
-	var d FleetDigest
-	if err := json.Unmarshal(data, &d); err != nil {
-		return fmt.Errorf("%w: not valid JSON: %v", ErrFleetDigest, err)
-	}
-	if d.SchemaVersion != FleetDigestSchemaVersion {
-		return fmt.Errorf("%w: schema_version %d, want %d", ErrFleetDigest, d.SchemaVersion, FleetDigestSchemaVersion)
-	}
-	if d.WindowNs <= 0 || d.LatencyObjectiveNs <= 0 {
-		return fmt.Errorf("%w: non-positive window or latency objective", ErrFleetDigest)
-	}
-	if d.AvailabilityObjective <= 0 || d.AvailabilityObjective > 1 || d.LatencyGoal <= 0 || d.LatencyGoal > 1 {
-		return fmt.Errorf("%w: objectives out of (0, 1]", ErrFleetDigest)
-	}
-	prev := ""
-	for i, a := range d.Apps {
-		if a.App == "" {
-			return fmt.Errorf("%w: app %d has no name", ErrFleetDigest, i)
-		}
-		if a.App <= prev && i > 0 {
-			return fmt.Errorf("%w: apps not sorted (%q after %q)", ErrFleetDigest, a.App, prev)
-		}
-		prev = a.App
-		if a.Requests <= 0 || a.Errors < 0 || a.Shed < 0 || a.Slow < 0 ||
-			a.Errors > a.Requests || a.Slow > a.Requests || a.Shed > a.Requests {
-			return fmt.Errorf("%w: app %s counts inconsistent", ErrFleetDigest, a.App)
-		}
-		if a.Availability < 0 || a.Availability > 1 || a.FastRatio < 0 || a.FastRatio > 1 ||
-			a.BudgetRatio < 0 || a.BudgetRatio > 1 {
-			return fmt.Errorf("%w: app %s ratios out of [0, 1]", ErrFleetDigest, a.App)
-		}
-		if a.BudgetSpent != a.Errors {
-			return fmt.Errorf("%w: app %s budget_spent %d != errors %d", ErrFleetDigest, a.App, a.BudgetSpent, a.Errors)
-		}
-		if a.BudgetRemaining != a.ErrorBudget-a.BudgetSpent {
-			return fmt.Errorf("%w: app %s budget arithmetic: %d - %d != %d",
-				ErrFleetDigest, a.App, a.ErrorBudget, a.BudgetSpent, a.BudgetRemaining)
-		}
-	}
-	return nil
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -137,7 +139,7 @@ func TestFleetDigestJSONDeterministicAndValid(t *testing.T) {
 			t.Fatalf("digest JSON not byte-deterministic:\n%s\nvs\n%s", first, got)
 		}
 	}
-	if err := ValidateFleetDigestJSON(first); err != nil {
+	if err := validateFleetDigestJSON(first); err != nil {
 		t.Fatalf("self-produced digest failed validation: %v\n%s", err, first)
 	}
 	if first[len(first)-1] != '\n' {
@@ -156,8 +158,8 @@ func TestValidateFleetDigestJSONRejects(t *testing.T) {
 		{"budget mismatch", `{"schema_version":1,"window_ns":1,"availability_objective":0.9,"latency_objective_ns":1,"latency_goal":0.9,"apps":[{"app":"a","requests":10,"errors":1,"availability":0.9,"fast_ratio":1,"budget_ratio":1,"budget_spent":1,"error_budget":1,"budget_remaining":5}]}`},
 	}
 	for _, tc := range cases {
-		if err := ValidateFleetDigestJSON([]byte(tc.data)); !errors.Is(err, ErrFleetDigest) {
-			t.Errorf("%s: err = %v, want ErrFleetDigest", tc.name, err)
+		if err := validateFleetDigestJSON([]byte(tc.data)); !errors.Is(err, errFleetDigest) {
+			t.Errorf("%s: err = %v, want errFleetDigest", tc.name, err)
 		}
 	}
 }
@@ -192,4 +194,52 @@ func TestSLOTrackerConcurrentObserve(t *testing.T) {
 	if a.Requests != 1600 || a.Errors != 160 {
 		t.Fatalf("concurrent totals: %+v", a)
 	}
+}
+
+// errFleetDigest is the typed validation failure of validateFleetDigestJSON.
+var errFleetDigest = errors.New("fleet digest: invalid")
+
+// validateFleetDigestJSON checks raw bytes against the fleet digest schema:
+// version match, sorted unique apps, in-range ratios, and internally
+// consistent budget arithmetic. All failures are typed and it never panics.
+func validateFleetDigestJSON(data []byte) error {
+	var d FleetDigest
+	if err := json.Unmarshal(data, &d); err != nil {
+		return fmt.Errorf("%w: not valid JSON: %v", errFleetDigest, err)
+	}
+	if d.SchemaVersion != FleetDigestSchemaVersion {
+		return fmt.Errorf("%w: schema_version %d, want %d", errFleetDigest, d.SchemaVersion, FleetDigestSchemaVersion)
+	}
+	if d.WindowNs <= 0 || d.LatencyObjectiveNs <= 0 {
+		return fmt.Errorf("%w: non-positive window or latency objective", errFleetDigest)
+	}
+	if d.AvailabilityObjective <= 0 || d.AvailabilityObjective > 1 || d.LatencyGoal <= 0 || d.LatencyGoal > 1 {
+		return fmt.Errorf("%w: objectives out of (0, 1]", errFleetDigest)
+	}
+	prev := ""
+	for i, a := range d.Apps {
+		if a.App == "" {
+			return fmt.Errorf("%w: app %d has no name", errFleetDigest, i)
+		}
+		if a.App <= prev && i > 0 {
+			return fmt.Errorf("%w: apps not sorted (%q after %q)", errFleetDigest, a.App, prev)
+		}
+		prev = a.App
+		if a.Requests <= 0 || a.Errors < 0 || a.Shed < 0 || a.Slow < 0 ||
+			a.Errors > a.Requests || a.Slow > a.Requests || a.Shed > a.Requests {
+			return fmt.Errorf("%w: app %s counts inconsistent", errFleetDigest, a.App)
+		}
+		if a.Availability < 0 || a.Availability > 1 || a.FastRatio < 0 || a.FastRatio > 1 ||
+			a.BudgetRatio < 0 || a.BudgetRatio > 1 {
+			return fmt.Errorf("%w: app %s ratios out of [0, 1]", errFleetDigest, a.App)
+		}
+		if a.BudgetSpent != a.Errors {
+			return fmt.Errorf("%w: app %s budget_spent %d != errors %d", errFleetDigest, a.App, a.BudgetSpent, a.Errors)
+		}
+		if a.BudgetRemaining != a.ErrorBudget-a.BudgetSpent {
+			return fmt.Errorf("%w: app %s budget arithmetic: %d - %d != %d",
+				errFleetDigest, a.App, a.ErrorBudget, a.BudgetSpent, a.BudgetRemaining)
+		}
+	}
+	return nil
 }

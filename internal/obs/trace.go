@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // TraceSchemaVersion identifies the explain-trace JSON schema. Bump it on
 // any structural change so downstream consumers can dispatch.
@@ -37,9 +34,6 @@ type ReviewTrace struct {
 	Matches []MatchTrace `json:"matches,omitempty"`
 	// Scans record the kernel prescreen behaviour of every matrix scan.
 	Scans []ScanTrace `json:"scans,omitempty"`
-	// Pool captures queue/worker occupancy at pickup when the review was
-	// drained through a core.Pool (absent for standalone localization).
-	Pool *PoolTrace `json:"pool,omitempty"`
 	// Ranked lists the recommended classes in rank order, each pointing at
 	// the Matches entries that voted for it.
 	Ranked []RankedTrace `json:"ranked,omitempty"`
@@ -90,18 +84,6 @@ type ScanTrace struct {
 	Pruned    int `json:"pruned"`
 	Evaluated int `json:"evaluated"`
 	Matched   int `json:"matched"`
-}
-
-// PoolTrace is the pool occupancy observed when a worker picked the review
-// up.
-type PoolTrace struct {
-	// Workers is the pool size.
-	Workers int `json:"workers"`
-	// QueueDepth is the number of reviews still waiting at pickup.
-	QueueDepth int `json:"queue_depth"`
-	// BusyWorkers is the number of busy workers at pickup (including the
-	// one picking this review up).
-	BusyWorkers int `json:"busy_workers"`
 }
 
 // RankedTrace is one recommended class with pointers to its evidence.
@@ -171,70 +153,4 @@ func (t *ReviewTrace) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// ValidateTraceJSON checks raw bytes against the explain-trace schema: the
-// schema version must match, required fields must be present and typed,
-// and every ranked candidate must reference in-range match entries that
-// name a phrase, an information source, and a similarity. It is the
-// machine-checkable contract the core and serve tests enforce on every
-// trace they produce.
-func ValidateTraceJSON(data []byte) error {
-	var t ReviewTrace
-	if err := json.Unmarshal(data, &t); err != nil {
-		return fmt.Errorf("explain trace: not valid JSON: %w", err)
-	}
-	if t.SchemaVersion != TraceSchemaVersion {
-		return fmt.Errorf("explain trace: schema_version %d, want %d", t.SchemaVersion, TraceSchemaVersion)
-	}
-	if t.Review == "" {
-		return fmt.Errorf("explain trace: empty review text")
-	}
-	for i, m := range t.Matches {
-		switch {
-		case m.Phrase == "":
-			return fmt.Errorf("explain trace: match %d has no phrase", i)
-		case m.Class == "":
-			return fmt.Errorf("explain trace: match %d has no class", i)
-		case m.Source == "":
-			return fmt.Errorf("explain trace: match %d has no information source", i)
-		case m.Stage == "":
-			return fmt.Errorf("explain trace: match %d has no stage", i)
-		case m.Similarity < 0 || m.Similarity > 1.0000001:
-			return fmt.Errorf("explain trace: match %d similarity %v out of [0, 1]", i, m.Similarity)
-		}
-	}
-	for i, s := range t.Scans {
-		// Early-exit scans (Algorithm 1's per-entry break) touch fewer rows
-		// than the matrix holds; they can never touch more.
-		if s.Pruned+s.Evaluated > s.Rows {
-			return fmt.Errorf("explain trace: scan %d pruned %d + evaluated %d > rows %d",
-				i, s.Pruned, s.Evaluated, s.Rows)
-		}
-		if s.Matched > s.Evaluated {
-			return fmt.Errorf("explain trace: scan %d matched %d > evaluated %d", i, s.Matched, s.Evaluated)
-		}
-	}
-	for i, rc := range t.Ranked {
-		if rc.Rank != i+1 {
-			return fmt.Errorf("explain trace: ranked %d has rank %d, want %d", i, rc.Rank, i+1)
-		}
-		if rc.Class == "" {
-			return fmt.Errorf("explain trace: ranked %d has no class", i)
-		}
-		if len(rc.Matches) == 0 {
-			return fmt.Errorf("explain trace: ranked class %s references no matches", rc.Class)
-		}
-		for _, mi := range rc.Matches {
-			if mi < 0 || mi >= len(t.Matches) {
-				return fmt.Errorf("explain trace: ranked class %s references match %d of %d",
-					rc.Class, mi, len(t.Matches))
-			}
-			if t.Matches[mi].Class != rc.Class {
-				return fmt.Errorf("explain trace: ranked class %s references match %d naming class %s",
-					rc.Class, mi, t.Matches[mi].Class)
-			}
-		}
-	}
-	return nil
 }

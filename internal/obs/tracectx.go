@@ -90,11 +90,10 @@ func formatTraceID(v uint64) string {
 // keyed by trace ID. When full, storing a new trace evicts the oldest.
 // Safe for concurrent use; nil is a valid store that holds nothing.
 type TraceStore struct {
-	mu    sync.Mutex
-	cap   int
-	fifo  []string
-	data  map[string][]byte
-	total int64
+	mu   sync.Mutex
+	cap  int
+	fifo []string
+	data map[string][]byte
 }
 
 // NewTraceStore builds a store holding at most cap traces (cap <= 0 gets a
@@ -121,7 +120,6 @@ func (s *TraceStore) Put(id string, artifact []byte) {
 		s.fifo = append(s.fifo, id)
 	}
 	s.data[id] = artifact
-	s.total++
 }
 
 // Get returns the stored artifact for a trace ID. Nil-safe.
@@ -133,25 +131,4 @@ func (s *TraceStore) Get(id string) ([]byte, bool) {
 	defer s.mu.Unlock()
 	b, ok := s.data[id]
 	return b, ok
-}
-
-// Len reports how many traces are currently retained. Nil-safe.
-func (s *TraceStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.fifo)
-}
-
-// Stored reports how many traces have ever been stored (retained or since
-// evicted). Nil-safe.
-func (s *TraceStore) Stored() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
 }

@@ -50,18 +50,6 @@ type Node struct {
 // IsLeaf reports whether the node is a token leaf.
 func (n *Node) IsLeaf() bool { return n.Token != nil }
 
-// Text returns the surface text covered by the node.
-func (n *Node) Text() string {
-	if n.IsLeaf() {
-		return n.Token.Text
-	}
-	parts := make([]string, 0, len(n.Children))
-	for _, c := range n.Children {
-		parts = append(parts, c.Text())
-	}
-	return strings.Join(parts, " ")
-}
-
 // Leaves returns the leaf nodes under n in sentence order.
 func (n *Node) Leaves() []*Node {
 	if n.IsLeaf() {
@@ -170,16 +158,6 @@ func (p *Parse) DepsWithRel(rel string) []Dependency {
 		}
 	}
 	return out
-}
-
-// HasDep reports whether relation rel holds between head and dep.
-func (p *Parse) HasDep(rel string, head, dep int) bool {
-	for _, d := range p.Deps {
-		if d.Rel == rel && d.Head == head && d.Dep == dep {
-			return true
-		}
-	}
-	return false
 }
 
 // Parser parses tagged sentences.

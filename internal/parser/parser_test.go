@@ -173,3 +173,25 @@ func TestEmptySentence(t *testing.T) {
 		t.Error("empty sentence should still have an S root")
 	}
 }
+
+// Text returns the surface text covered by the node.
+func (n *Node) Text() string {
+	if n.IsLeaf() {
+		return n.Token.Text
+	}
+	parts := make([]string, 0, len(n.Children))
+	for _, c := range n.Children {
+		parts = append(parts, c.Text())
+	}
+	return strings.Join(parts, " ")
+}
+
+// HasDep reports whether relation rel holds between head and dep.
+func (p *Parse) HasDep(rel string, head, dep int) bool {
+	for _, d := range p.Deps {
+		if d.Rel == rel && d.Head == head && d.Dep == dep {
+			return true
+		}
+	}
+	return false
+}

@@ -190,22 +190,6 @@ const (
 	IntentOther
 )
 
-// String returns the intent name.
-func (i Intent) String() string {
-	switch i {
-	case IntentProblem:
-		return "problem"
-	case IntentFeatureRequest:
-		return "feature-request"
-	case IntentInfoGiving:
-		return "info-giving"
-	case IntentInfoSeeking:
-		return "info-seeking"
-	default:
-		return "other"
-	}
-}
-
 // ShouldFilter reports whether a sentence with this intent must be excluded
 // from phrase extraction.
 func (i Intent) ShouldFilter() bool {
@@ -278,17 +262,4 @@ func ClassifyIntent(sentence string) Intent {
 		}
 	}
 	return IntentOther
-}
-
-// FilterSentences drops sentences whose intent must be filtered, returning
-// the sentences to feed into phrase extraction and the number filtered.
-func FilterSentences(sentences []string) (kept []string, filtered int) {
-	for _, s := range sentences {
-		if ClassifyIntent(s).ShouldFilter() {
-			filtered++
-			continue
-		}
-		kept = append(kept, s)
-	}
-	return kept, filtered
 }

@@ -63,16 +63,6 @@ type NounPhrase struct {
 // String renders the phrase as text.
 func (n NounPhrase) String() string { return strings.Join(n.Words, " ") }
 
-// ContentWords returns the phrase words without determiners/pronouns.
-func (n NounPhrase) ContentWords() []string {
-	out := make([]string, 0, len(n.Modifiers)+1)
-	out = append(out, n.Modifiers...)
-	if n.Head != "" {
-		out = append(out, n.Head)
-	}
-	return out
-}
-
 // Extraction is the result of phrase extraction over one sentence.
 type Extraction struct {
 	VerbPhrases []VerbPhrase
@@ -301,10 +291,6 @@ var irregularVerbs = map[string]string{
 	"does": "do", "did": "do", "has": "have", "had": "have",
 	"is": "be", "am": "be", "are": "be", "was": "be", "were": "be",
 }
-
-// Lemma exposes verb lemmatization for other packages (method-name
-// conversion shares it).
-func Lemma(v string) string { return lemma(v) }
 
 // ErrorWords is the set of error-type nouns used by §4.1.3 ("we first check
 // whether the noun phrases contain error related words").

@@ -113,8 +113,8 @@ func TestLemma(t *testing.T) {
 		"saved": "save", "broke": "break", "syncs": "sync", "send": "send",
 	}
 	for in, want := range tests {
-		if got := Lemma(in); got != want {
-			t.Errorf("Lemma(%q) = %q, want %q", in, got, want)
+		if got := lemma(in); got != want {
+			t.Errorf("lemma(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -272,4 +272,43 @@ func TestPatternString(t *testing.T) {
 	if P1.String() != "P1" || P4.String() != "P4" {
 		t.Error("pattern String() broken")
 	}
+}
+
+// String returns the intent name.
+func (i Intent) String() string {
+	switch i {
+	case IntentProblem:
+		return "problem"
+	case IntentFeatureRequest:
+		return "feature-request"
+	case IntentInfoGiving:
+		return "info-giving"
+	case IntentInfoSeeking:
+		return "info-seeking"
+	default:
+		return "other"
+	}
+}
+
+// FilterSentences drops sentences whose intent must be filtered, returning
+// the sentences to feed into phrase extraction and the number filtered.
+func FilterSentences(sentences []string) (kept []string, filtered int) {
+	for _, s := range sentences {
+		if ClassifyIntent(s).ShouldFilter() {
+			filtered++
+			continue
+		}
+		kept = append(kept, s)
+	}
+	return kept, filtered
+}
+
+// ContentWords returns the phrase words without determiners/pronouns.
+func (n NounPhrase) ContentWords() []string {
+	out := make([]string, 0, len(n.Modifiers)+1)
+	out = append(out, n.Modifiers...)
+	if n.Head != "" {
+		out = append(out, n.Head)
+	}
+	return out
 }

@@ -445,6 +445,3 @@ func renderSnippet(apis []APIRef) string {
 	}
 	return b.String()
 }
-
-// TaskCount returns the number of general-task templates.
-func TaskCount() int { return len(generalTasks) + len(generalTasksExtra) }

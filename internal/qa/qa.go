@@ -37,17 +37,12 @@ type APIRef struct {
 // Key returns "class.method".
 func (r APIRef) Key() string { return r.Class + "." + r.Method }
 
-// ParseSnippet extracts the framework API calls from a Java-like code
+// parseSnippet extracts the framework API calls from a Java-like code
 // snippet, the role javalang plays in the paper (§4.2.2 Step 2). It tracks
 // `Type var = new Type(...)` and `Type var = ...` declarations to resolve
-// receiver variables to classes, and resolves short class names against the
-// SDK catalog.
-func ParseSnippet(snippet string, catalog *sdk.Catalog) []APIRef {
-	return parseSnippet(snippet, catalog, shortClassIndex(catalog))
-}
-
-// parseSnippet is ParseSnippet with the catalog's short-class map built by
-// the caller, so NewIndex builds it once for the whole corpus.
+// receiver variables to classes, and resolves short class names through
+// shortToFull, the catalog's short-class map, which NewIndex builds once for
+// the whole corpus.
 func parseSnippet(snippet string, catalog *sdk.Catalog, shortToFull map[string]string) []APIRef {
 	varType := make(map[string]string)
 	var out []APIRef

@@ -128,3 +128,12 @@ func TestTaskCount(t *testing.T) {
 		t.Errorf("only %d task templates", TaskCount())
 	}
 }
+
+// ParseSnippet is parseSnippet with the catalog's short-class map built
+// per call.
+func ParseSnippet(snippet string, catalog *sdk.Catalog) []APIRef {
+	return parseSnippet(snippet, catalog, shortClassIndex(catalog))
+}
+
+// TaskCount returns the number of general-task templates.
+func TaskCount() int { return len(generalTasks) + len(generalTasksExtra) }

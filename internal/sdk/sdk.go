@@ -111,9 +111,6 @@ func NewCatalog() *Catalog {
 // APIs returns all framework APIs.
 func (c *Catalog) APIs() []API { return c.apis }
 
-// URIs returns all provider URIs.
-func (c *Catalog) URIs() []URI { return c.uris }
-
 // Intents returns the common intents.
 func (c *Catalog) Intents() []Intent { return c.intents }
 
@@ -125,36 +122,10 @@ func (c *Catalog) LookupAPI(class, method string) (API, bool) {
 	return API{}, false
 }
 
-// IsFrameworkClass reports whether the class belongs to the catalog.
-func (c *Catalog) IsFrameworkClass(class string) bool {
-	_, ok := c.byClass[class]
-	return ok
-}
-
-// APIsThrowing returns the APIs documented to throw the given exception
-// type (short name, e.g. "SocketException").
-func (c *Catalog) APIsThrowing(exception string) []API {
-	idxs := c.byException[exception]
-	out := make([]API, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, c.apis[i])
-	}
-	return out
-}
-
 // PermissionDescription returns the documentation sentence for a permission.
 func (c *Catalog) PermissionDescription(name string) (string, bool) {
 	p, ok := c.permissions[name]
 	return p.Description, ok
-}
-
-// ExceptionTypes returns the distinct exception type names in the catalog.
-func (c *Catalog) ExceptionTypes() []string {
-	out := make([]string, 0, len(c.byException))
-	for ex := range c.byException {
-		out = append(out, ex)
-	}
-	return out
 }
 
 // URIPermission returns the permission protecting a URI.

@@ -139,3 +139,32 @@ func TestExceptionTypes(t *testing.T) {
 		}
 	}
 }
+
+// URIs returns all provider URIs.
+func (c *Catalog) URIs() []URI { return c.uris }
+
+// IsFrameworkClass reports whether the class belongs to the catalog.
+func (c *Catalog) IsFrameworkClass(class string) bool {
+	_, ok := c.byClass[class]
+	return ok
+}
+
+// APIsThrowing returns the APIs documented to throw the given exception
+// type (short name, e.g. "SocketException").
+func (c *Catalog) APIsThrowing(exception string) []API {
+	idxs := c.byException[exception]
+	out := make([]API, 0, len(idxs))
+	for _, i := range idxs {
+		out = append(out, c.apis[i])
+	}
+	return out
+}
+
+// ExceptionTypes returns the distinct exception type names in the catalog.
+func (c *Catalog) ExceptionTypes() []string {
+	out := make([]string, 0, len(c.byException))
+	for ex := range c.byException {
+		out = append(out, ex)
+	}
+	return out
+}

@@ -111,22 +111,6 @@ func SplitAdversative(sentence string) []string {
 	return parts
 }
 
-// NegativeSentences runs the analyzer over every clause of every sentence of
-// a review and returns the sentences (clause-level after adversative
-// splitting) that are negative or neutral — the ones that may describe the
-// error and should feed phrase extraction. Positive clauses are discarded.
-func NegativeSentences(a Analyzer, review string) []string {
-	var kept []string
-	for _, sentence := range textproc.SplitSentences(review) {
-		for _, clause := range SplitAdversative(sentence) {
-			if a.Classify(clause) != Positive {
-				kept = append(kept, clause)
-			}
-		}
-	}
-	return kept
-}
-
 // HasNegativeSentence reports whether any clause of the review classifies as
 // negative under the analyzer. Table 4 counts reviews with at least one
 // negative sentence.

@@ -3,6 +3,8 @@ package sentiment
 import (
 	"reflect"
 	"testing"
+
+	"reviewsolver/internal/textproc"
 )
 
 func TestSentiStrengthClassify(t *testing.T) {
@@ -184,4 +186,20 @@ func TestSplitAdversativePreservesWords(t *testing.T) {
 	if !reflect.DeepEqual(len(parts), 3) {
 		t.Fatalf("want 3 parts, got %v", parts)
 	}
+}
+
+// NegativeSentences runs the analyzer over every clause of every sentence of
+// a review and returns the sentences (clause-level after adversative
+// splitting) that are negative or neutral — the ones that may describe the
+// error and should feed phrase extraction. Positive clauses are discarded.
+func NegativeSentences(a Analyzer, review string) []string {
+	var kept []string
+	for _, sentence := range textproc.SplitSentences(review) {
+		for _, clause := range SplitAdversative(sentence) {
+			if a.Classify(clause) != Positive {
+				kept = append(kept, clause)
+			}
+		}
+	}
+	return kept
 }

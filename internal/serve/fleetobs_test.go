@@ -3,37 +3,29 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"reviewsolver/internal/core"
 	"reviewsolver/internal/obs"
-	"reviewsolver/internal/synth"
 )
-
-// requireSim runs the scenario once, failing the test on any phase error.
-func requireSim(t *testing.T, seed int64, workers int) *FleetSimResult {
-	t.Helper()
-	res, err := RunFleetSim(seed, workers)
-	if err != nil {
-		t.Fatalf("RunFleetSim(%d, %d): %v", seed, workers, err)
-	}
-	return res
-}
 
 // TestFleetSimScenario pins the scenario's observable contract for one
 // (seed, workers): the journal event skeleton, the per-app SLO arithmetic,
 // the stored-trace count, and the per-app labeled request metrics.
 func TestFleetSimScenario(t *testing.T) {
-	res := requireSim(t, 3, 2)
+	res := runFleetSim(t, 3, 2)
 
 	// Journal: exact (type, app) sequence, strictly increasing seq from 1,
 	// and fake-clock timestamps (never wall time).
-	skeleton := FleetSimEventSkeleton(res.AppA, res.AppB)
+	skeleton := fleetSimEventSkeleton(res.AppA, res.AppB)
 	if len(res.Events) != len(skeleton) {
 		t.Fatalf("journal has %d events, want %d:\n%+v", len(res.Events), len(skeleton), res.Events)
 	}
@@ -55,9 +47,6 @@ func TestFleetSimScenario(t *testing.T) {
 
 	// SLO digest: the exact window counts and error-budget arithmetic the
 	// scenario's request outcomes imply.
-	if err := obs.ValidateFleetDigestJSON(res.DigestJSON); err != nil {
-		t.Fatalf("digest JSON invalid: %v", err)
-	}
 	bySLOApp := map[string]obs.AppSLO{}
 	for _, a := range res.Digest.Apps {
 		bySLOApp[a.App] = a
@@ -141,9 +130,9 @@ func TestFleetSimDeterministic(t *testing.T) {
 	for _, seed := range []int64{3, 5, 7, 9} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			base := requireSim(t, seed, 1)
+			base := runFleetSim(t, seed, 1)
 			for _, workers := range []int{2, 4} {
-				got := requireSim(t, seed, workers)
+				got := runFleetSim(t, seed, workers)
 				if !bytes.Equal(got.DigestJSON, base.DigestJSON) {
 					t.Errorf("workers=%d digest differs from workers=1:\n%s\nvs\n%s", workers, got.DigestJSON, base.DigestJSON)
 				}
@@ -153,7 +142,7 @@ func TestFleetSimDeterministic(t *testing.T) {
 				if got.TracesStored != base.TracesStored {
 					t.Errorf("workers=%d stored %d traces, workers=1 stored %d", workers, got.TracesStored, base.TracesStored)
 				}
-				gm, bm := got.DeterministicMetrics(), base.DeterministicMetrics()
+				gm, bm := got.deterministicMetrics(), base.deterministicMetrics()
 				if !reflect.DeepEqual(gm, bm) {
 					for k, v := range bm {
 						if gm[k] != v {
@@ -175,7 +164,7 @@ func TestFleetSimDeterministic(t *testing.T) {
 // HTTP: deterministic X-Trace-Id minting, the sampled-trace artifact, the
 // lifecycle journal, and the fleet digest.
 func TestFleetObsEndpoints(t *testing.T) {
-	data, _ := synth.GenerateSamplePair(1)
+	data, _ := samplePair(1)
 	img, err := core.EncodeSnapshot(core.NewSnapshot(), data.App)
 	if err != nil {
 		t.Fatal(err)
@@ -191,12 +180,12 @@ func TestFleetObsEndpoints(t *testing.T) {
 	})
 	defer d.Close()
 	app := data.Info.Package
-	d.Registry().RegisterBytes(app, "v1", img)
+	registerImage(t, d.Registry(), app, "v1", img)
 
 	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
 		req := httptest.NewRequest(method, path, bytes.NewReader(body))
 		w := httptest.NewRecorder()
-		d.Handler().ServeHTTP(w, req)
+		d.mux.ServeHTTP(w, req)
 		return w
 	}
 
@@ -211,17 +200,23 @@ func TestFleetObsEndpoints(t *testing.T) {
 		t.Fatalf("X-Trace-Id = %q, want the deterministic first ID %q", traceID, want)
 	}
 
-	// The sampled request's explain trace is served back by ID.
+	// The sampled request's explain trace is served back by ID, byte for
+	// byte the trace a direct solver over the same image writes.
 	w = do("GET", "/v1/trace/"+traceID, nil)
 	if w.Code != 200 {
 		t.Fatalf("trace fetch = %d: %s", w.Code, w.Body)
 	}
-	if err := obs.ValidateTraceJSON(w.Body.Bytes()); err != nil {
-		t.Fatalf("served trace invalid: %v", err)
+	snap, lapp, err := core.LoadSnapshotBytes(img)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var tr obs.ReviewTrace
-	if err := json.Unmarshal(w.Body.Bytes(), &tr); err != nil || tr.Review != rv.Text {
-		t.Fatalf("served trace review = %q (err %v), want the request's review", tr.Review, err)
+	_, tr := core.NewWithSnapshot(snap).LocalizeReviewTraced(lapp, rv.Text, rv.PublishedAt)
+	wantTrace, err := tr.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Body.Bytes(), wantTrace) {
+		t.Fatalf("served trace differs from the direct solver's:\n got: %s\nwant: %s", w.Body, wantTrace)
 	}
 
 	// Unknown trace IDs are typed 404s.
@@ -252,13 +247,18 @@ func TestFleetObsEndpoints(t *testing.T) {
 		t.Errorf("load event unix_ns = %d, want the injected clock's instant", ev.Events[1].UnixNs)
 	}
 
-	// The fleet digest validates and covers the served app.
+	// The fleet digest is the SLO tracker's own encoding and covers the
+	// served app.
 	w = do("GET", "/v1/fleetstat", nil)
 	if w.Code != 200 {
 		t.Fatalf("fleetstat = %d: %s", w.Code, w.Body)
 	}
-	if err := obs.ValidateFleetDigestJSON(w.Body.Bytes()); err != nil {
-		t.Fatalf("fleetstat invalid: %v", err)
+	wantDigest, err := d.slo.Digest().JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(w.Body.Bytes(), wantDigest) {
+		t.Fatalf("served digest differs from the tracker's encoding:\n got: %s\nwant: %s", w.Body, wantDigest)
 	}
 	var fd obs.FleetDigest
 	if err := json.Unmarshal(w.Body.Bytes(), &fd); err != nil {
@@ -273,5 +273,120 @@ func TestFleetObsEndpoints(t *testing.T) {
 	wantLine := fmt.Sprintf(`serve_requests_total{app=%q,code="200",route="/v1/localize"}`, app)
 	if !strings.Contains(w.Body.String(), wantLine) {
 		t.Errorf("/metrics missing %s:\n%s", wantLine, w.Body)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite bench/BENCH_FLEETOBS.json from this run")
+
+// fleetObsGolden is the committed fleet-observability golden. It keeps the
+// BENCH_<name>.json layout of benchgate's baselines.
+const fleetObsGolden = "../../bench/BENCH_FLEETOBS.json"
+
+type fleetObsFile struct {
+	Table   int                `json:"table"`
+	ID      string             `json:"id"`
+	Title   string             `json:"title"`
+	Seed    int64              `json:"seed"`
+	Metrics map[string]float64 `json:"metrics"`
+}
+
+// fleetObsMetrics flattens everything the scenario pins into one metric
+// map: the deterministic subset of the registry snapshot (labeled request
+// counters, journal-drained event counters, registry gauges, pipeline
+// counters — latency histograms reduced to their counts), the journal
+// event sequence, the per-app SLO/error-budget arithmetic, and the digest
+// artifact's exact byte length. Every value is a count or a budget.
+func fleetObsMetrics(res *fleetSimResult) map[string]float64 {
+	m := res.deterministicMetrics()
+
+	// The journal's (type, app) sequence, position by position, so a
+	// reordered or missing lifecycle event fails as a changed/vanished key.
+	m["journal|events"] = float64(len(res.Events))
+	for i, ev := range res.Events {
+		m[fmt.Sprintf("journal|%02d|%s|%s", i, ev.Type, ev.App)] = float64(ev.Seq)
+	}
+
+	// Per-app SLO rows: window counts and error-budget arithmetic.
+	boolMetric := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for _, a := range res.Digest.Apps {
+		p := "slo|" + a.App + "|"
+		m[p+"requests"] = float64(a.Requests)
+		m[p+"errors"] = float64(a.Errors)
+		m[p+"shed"] = float64(a.Shed)
+		m[p+"slow"] = float64(a.Slow)
+		m[p+"error_budget"] = float64(a.ErrorBudget)
+		m[p+"budget_spent"] = float64(a.BudgetSpent)
+		m[p+"budget_remaining"] = float64(a.BudgetRemaining)
+		m[p+"budget_ratio"] = a.BudgetRatio
+		m[p+"availability_met"] = boolMetric(a.AvailabilityMet)
+		m[p+"latency_met"] = boolMetric(a.LatencyMet)
+	}
+
+	// The served artifact itself: byte length pins the exact encoding
+	// (field order, indentation, float formatting) without storing it.
+	m["digest|bytes"] = float64(len(res.DigestJSON))
+	m["traces|stored"] = float64(res.TracesStored)
+	return m
+}
+
+// TestFleetObsGolden compares the seed-1, two-worker scenario with the
+// committed bench/BENCH_FLEETOBS.json at zero tolerance: a changed value, a
+// vanished key and a new key all fail. `go test -run TestFleetObsGolden
+// ./internal/serve -update` rewrites the file from this run.
+func TestFleetObsGolden(t *testing.T) {
+	const seed = 1
+	got := fleetObsMetrics(runFleetSim(t, seed, 2))
+	if *update {
+		data, err := json.MarshalIndent(fleetObsFile{
+			ID:      "fleetobs",
+			Title:   "Fleet observability: labeled metrics, journal, SLO budgets",
+			Seed:    seed,
+			Metrics: got,
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fleetObsGolden, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(fleetObsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden fleetObsFile
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatalf("parse %s: %v", fleetObsGolden, err)
+	}
+	if golden.Seed != seed {
+		t.Fatalf("%s was taken at seed %d, want %d", fleetObsGolden, golden.Seed, seed)
+	}
+	keys := make([]string, 0, len(got))
+	for k := range got {
+		keys = append(keys, k)
+	}
+	for k := range golden.Metrics {
+		if _, ok := got[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		want, inGolden := golden.Metrics[k]
+		g, inRun := got[k]
+		switch {
+		case !inGolden:
+			t.Errorf("%s: new metric %v (not in %s)", k, g, fleetObsGolden)
+		case !inRun:
+			t.Errorf("%s: metric vanished (golden %v)", k, want)
+		case g != want:
+			t.Errorf("%s = %v, golden %v", k, g, want)
+		}
 	}
 }

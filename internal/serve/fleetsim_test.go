@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"testing"
 	"time"
 
 	"reviewsolver/internal/core"
@@ -18,8 +19,8 @@ import (
 	"reviewsolver/internal/synth"
 )
 
-// This file is the deterministic fleet-observability scenario shared by the
-// fleetobs tests, benchgate's exact fleetobs gate, and `reviewd -fleetstat`:
+// This file is the deterministic fleet-observability scenario behind the
+// fleetobs tests and the committed bench/BENCH_FLEETOBS.json golden:
 // a daemon with the whole observability layer on (labeled metrics, tracing,
 // journal, SLO) driven through every lifecycle transition — warm loads,
 // concurrent traffic, an injected panic, a corrupt snapshot quarantining
@@ -53,8 +54,8 @@ const (
 
 var errFleetSimFlaky = errors.New("fleetsim: injected transient load fault")
 
-// FleetSimResult is everything the scenario produced.
-type FleetSimResult struct {
+// fleetSimResult is everything the scenario produced.
+type fleetSimResult struct {
 	// Digest is the final fleet SLO digest; DigestJSON its byte-stable
 	// encoding (the same bytes /v1/fleetstat would serve).
 	Digest     *obs.FleetDigest
@@ -70,13 +71,13 @@ type FleetSimResult struct {
 	AppA, AppB string
 }
 
-// DeterministicMetrics filters the snapshot down to the keys that are a
+// deterministicMetrics filters the snapshot down to the keys that are a
 // pure function of the scenario: latency histograms keep only their request
 // counts, float sums (CAS-order dependent in the last bits) are dropped,
 // and so is the NLP front-end cache/interner telemetry (concurrent misses
-// on a shared cache can double-compute). Both the fleetobs gate and the
+// on a shared cache can double-compute). Both the golden and the
 // worker-count invariance test compare exactly this subset.
-func (r *FleetSimResult) DeterministicMetrics() map[string]float64 {
+func (r *fleetSimResult) deterministicMetrics() map[string]float64 {
 	out := make(map[string]float64, len(r.Metrics))
 	for k, v := range r.Metrics {
 		if fleetObsDeterministicKey(k) {
@@ -126,27 +127,33 @@ func (c *fleetClock) Advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
-// RunFleetSim drives the scenario with the given traffic concurrency
+// samplePair generates two distinct app corpora from one seed — K-9 and the
+// first Table 6 app — for the scenarios that need more than one package
+// name in play.
+func samplePair(seed int64) (*synth.AppData, *synth.AppData) {
+	return synth.GenerateSample(seed), synth.GenerateTable6(seed)[0]
+}
+
+// runFleetSim drives the scenario with the given traffic concurrency
 // (workers in [1, fleetSimQueueDepth]: the admission bound is sized so
-// concurrent traffic never sheds) and returns the collected artifacts.
-// Everything in the result is a pure function of (seed), not of workers or
-// scheduling — that invariance is what the fleetobs tests and gate hold.
-func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > fleetSimQueueDepth {
-		return nil, fmt.Errorf("fleetsim: %d workers would overflow the admission queue (max %d)", workers, fleetSimQueueDepth)
+// concurrent traffic never sheds) and returns the collected artifacts,
+// failing t on any phase error. Everything in the result is a pure function
+// of (seed), not of workers or scheduling — that invariance is what the
+// fleetobs tests and the golden hold.
+func runFleetSim(t *testing.T, seed int64, workers int) *fleetSimResult {
+	t.Helper()
+	if workers < 1 || workers > fleetSimQueueDepth {
+		t.Fatalf("fleetsim: %d workers, want 1..%d (more would overflow the admission queue)", workers, fleetSimQueueDepth)
 	}
 
-	dataA, dataB := synth.GenerateSamplePair(seed)
+	dataA, dataB := samplePair(seed)
 	imgA, err := core.EncodeSnapshot(core.NewSnapshot(), dataA.App)
 	if err != nil {
-		return nil, fmt.Errorf("fleetsim: encode A: %w", err)
+		t.Fatalf("fleetsim: encode A: %v", err)
 	}
 	imgB, err := core.EncodeSnapshot(core.NewSnapshot(), dataB.App)
 	if err != nil {
-		return nil, fmt.Errorf("fleetsim: encode B: %w", err)
+		t.Fatalf("fleetsim: encode B: %v", err)
 	}
 	corrupt := append([]byte(nil), imgA...)
 	corrupt[len(corrupt)-1] ^= 0xFF
@@ -185,14 +192,14 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	defer d.Close()
 
 	appA, appB := dataA.Info.Package, dataB.Info.Package
-	d.Registry().RegisterBytes(appA, "v1", imgA)
-	d.Registry().RegisterBytes(appB, "v1", imgB)
+	registerImage(t, d.Registry(), appA, "v1", imgA)
+	registerImage(t, d.Registry(), appB, "v1", imgB)
 
 	localize := func(app, review, publishedAt string) (int, []byte) {
 		body, _ := json.Marshal(LocalizeRequest{App: app, Review: review, PublishedAt: publishedAt})
 		req := httptest.NewRequest("POST", "/v1/localize", bytes.NewReader(body))
 		w := httptest.NewRecorder()
-		d.Handler().ServeHTTP(w, req)
+		d.mux.ServeHTTP(w, req)
 		return w.Code, w.Body.Bytes()
 	}
 	expect := func(phase, app, review, at string, want int) error {
@@ -211,10 +218,10 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	// Phase 1 — warm loads. Journal so far: register A, register B; these
 	// two requests add load A, load B.
 	if err := expect("warm", appA, rvA, atA, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	if err := expect("warm", appB, rvB, atB, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 2 — concurrent traffic: a fixed request list drained by
@@ -251,7 +258,7 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	wg.Wait()
 	for _, err := range workerErrs {
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 	}
 
@@ -259,7 +266,7 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	// one unit of appB's error budget.
 	inj.Arm(faultinject.PointRequest, faultinject.Fault{Err: faultinject.ErrPanic, Count: 1, Key: appB})
 	if err := expect("panic", appB, rvB, atB, http.StatusInternalServerError); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 4 — corrupt snapshot: the first probe fails the load and
@@ -267,56 +274,56 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 	// backoff is rejected without touching the image (no journal event),
 	// and the post-backoff probe fails again (re_probe + load_failure +
 	// quarantine_enter).
-	d.Registry().RegisterBytes(fleetSimCorruptApp, "v1", corrupt)
+	registerImage(t, d.Registry(), fleetSimCorruptApp, "v1", corrupt)
 	if err := expect("corrupt probe", fleetSimCorruptApp, rvA, atA, http.StatusServiceUnavailable); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	if err := expect("corrupt backoff reject", fleetSimCorruptApp, rvA, atA, http.StatusServiceUnavailable); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
 	if err := expect("corrupt re-probe", fleetSimCorruptApp, rvA, atA, http.StatusServiceUnavailable); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 5 — flaky snapshot: a valid image whose first load fails
 	// through an injected fault, then recovers on the post-backoff probe
 	// (re_probe + quarantine_exit + load).
-	d.Registry().RegisterBytes(fleetSimFlakyApp, "v1", imgA)
+	registerImage(t, d.Registry(), fleetSimFlakyApp, "v1", imgA)
 	inj.Arm(faultinject.PointSnapshotLoad, faultinject.Fault{Err: errFleetSimFlaky, Count: 1, Key: fleetSimFlakyApp + "@v1"})
 	if err := expect("flaky probe", fleetSimFlakyApp, rvA, atA, http.StatusServiceUnavailable); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
 	if err := expect("flaky recovery", fleetSimFlakyApp, rvA, atA, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 6 — sequential touches pin the LRU order (front to back:
 	// B, flaky, A) so the evictions below are deterministic.
 	if err := expect("touch", appA, rvA, atA, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	if err := expect("touch", fleetSimFlakyApp, rvA, atA, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	if err := expect("touch", appB, rvB, atB, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 7 — hot swap: re-registering appB@v1 retires the idle resident
 	// entry (retire_freed + hot_swap) and the next request reloads it.
-	d.Registry().RegisterBytes(appB, "v1", imgB)
+	registerImage(t, d.Registry(), appB, "v1", imgB)
 	if err := expect("post-swap", appB, rvB, atB, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 8 — budget eviction: loading a second copy of corpus A pushes
 	// the resident total one byte past the budget, evicting the LRU tail
 	// (appA): register + evict + load.
-	d.Registry().RegisterBytes(fleetSimCloneApp, "v1", imgA)
+	registerImage(t, d.Registry(), fleetSimCloneApp, "v1", imgA)
 	if err := expect("clone", fleetSimCloneApp, rvA, atA, http.StatusOK); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 
 	// Phase 9 — admission shedding: one appA request blocks on an injected
@@ -333,7 +340,7 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 		shedErrs[0] = expect("blocked", appA, rvA, atA, http.StatusOK)
 	}()
 	if err := pollMetric(met, metricInflight, 1); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	for i := 1; i <= fleetSimQueueDepth; i++ {
 		shedWG.Add(1)
@@ -343,35 +350,49 @@ func RunFleetSim(seed int64, workers int) (*FleetSimResult, error) {
 		}(i)
 	}
 	if err := pollMetric(met, metricQueueDepth, fleetSimQueueDepth); err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
 	for i := 0; i < fleetSimShedProbes; i++ {
 		if err := expect("shed", appA, rvA, atA, http.StatusTooManyRequests); err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 	}
 	close(gate)
 	shedWG.Wait()
 	for _, err := range shedErrs {
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
 	}
 
-	digest := d.FleetDigest()
+	digest := d.slo.Digest()
 	digestJSON, err := digest.JSON()
 	if err != nil {
-		return nil, fmt.Errorf("fleetsim: encode digest: %w", err)
+		t.Fatalf("fleetsim: encode digest: %v", err)
 	}
-	return &FleetSimResult{
+	return &fleetSimResult{
 		Digest:       digest,
 		DigestJSON:   digestJSON,
-		Events:       d.Journal().Events(),
+		Events:       d.journal.Events(),
 		Metrics:      met.Snapshot(),
-		TracesStored: d.TraceStore().Len(),
+		TracesStored: storedTraces(d),
 		AppA:         appA,
 		AppB:         appB,
-	}, nil
+	}
+}
+
+// storedTraces counts the explain traces d still holds by probing every
+// trace ID its deterministic source has minted: one per request through the
+// endpoint middleware. The daemon must have been built with a TraceSeed.
+func storedTraces(d *Daemon) int {
+	src := obs.NewTraceSource(d.cfg.TraceSeed, d.cfg.TraceSampleEvery)
+	n := 0
+	for i := d.met.Counter(metricRequests).Value(); i > 0; i-- {
+		if _, ok := d.traces.Get(src.Next().ID); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // pollMetric waits (real time) until a gauge reaches want — used only to
@@ -388,10 +409,10 @@ func pollMetric(met *obs.Registry, name string, want float64) error {
 	return fmt.Errorf("fleetsim: %s never reached %g (now %g)", name, want, met.Snapshot()[name])
 }
 
-// FleetSimEventSkeleton is the (type, app) sequence the scenario's journal
+// fleetSimEventSkeleton is the (type, app) sequence the scenario's journal
 // must contain, in order — the registry lifecycle contract the fleetobs
-// tests and gate assert. Apps A and B are substituted from the result.
-func FleetSimEventSkeleton(appA, appB string) [][2]string {
+// tests and the golden assert. Apps A and B are substituted from the result.
+func fleetSimEventSkeleton(appA, appB string) [][2]string {
 	return [][2]string{
 		{string(obs.EventRegister), appA},
 		{string(obs.EventRegister), appB},

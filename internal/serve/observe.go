@@ -136,14 +136,3 @@ func (d *Daemon) handleFleetstat(w http.ResponseWriter, _ *http.Request) error {
 	_, werr := w.Write(data)
 	return werr
 }
-
-// FleetDigest evaluates the daemon's SLO tracker now — the same artifact
-// /v1/fleetstat serves (an empty digest when the tracker is off). Used by
-// `reviewd -fleetstat` and the fleetobs harnesses.
-func (d *Daemon) FleetDigest() *obs.FleetDigest { return d.slo.Digest() }
-
-// Journal exposes the daemon's registry event journal (nil when off).
-func (d *Daemon) Journal() *obs.Journal { return d.journal }
-
-// TraceStore exposes the daemon's sampled-trace store (nil when off).
-func (d *Daemon) TraceStore() *obs.TraceStore { return d.traces }

@@ -82,8 +82,7 @@ func (s entryState) String() string {
 // the registry mutex except the immutable identity fields.
 type entry struct {
 	app, version string
-	path         string // .snap file; empty when img is set
-	img          []byte // in-memory image (tests, benchgate)
+	path         string // .snap file
 
 	state entryState
 	done  chan struct{} // singleflight: closed when a load attempt settles
@@ -178,15 +177,7 @@ func (r *Registry) note(typ obs.EventType, app, version, detail string) {
 // image is not opened here — the first request loads it lazily, so a bad
 // file quarantines instead of failing registration.
 func (r *Registry) Register(app, version, path string) {
-	r.register(&entry{app: app, version: version, path: path})
-}
-
-// RegisterBytes is Register for an in-memory image (tests, smoke harnesses).
-func (r *Registry) RegisterBytes(app, version string, img []byte) {
-	r.register(&entry{app: app, version: version, img: img})
-}
-
-func (r *Registry) register(e *entry) {
+	e := &entry{app: app, version: version, path: path}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := e.key()
@@ -340,10 +331,8 @@ func (r *Registry) load(ctx context.Context, e *entry) error {
 		err = ctx.Err() // the client may have gone away during a slow load
 	}
 	if err == nil {
-		img := e.img
-		if img == nil {
-			img, err = os.ReadFile(e.path)
-		}
+		var img []byte
+		img, err = os.ReadFile(e.path)
 		if err == nil {
 			// The entry's solvers carry its app identity so per-app labeled
 			// pipeline counters land in the shared registry.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -34,6 +36,18 @@ func sampleImage(t testing.TB) (*synth.AppData, []byte) {
 		imgVal = img
 	})
 	return imgApp, imgVal
+}
+
+// registerImage writes img to a fresh file under the test's temp dir and
+// registers that path as app@version: the registry loads images from files
+// only, so every test registers through here or POST /v1/apps.
+func registerImage(t testing.TB, r *Registry, app, version string, img []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), app+"@"+version+".snap")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r.Register(app, version, path)
 }
 
 // corruptImage returns the sample image with one payload byte flipped, so
@@ -73,7 +87,7 @@ func TestLazyLoadOnceAndReuse(t *testing.T) {
 	_, img := sampleImage(t)
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{Metrics: met})
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 
 	ctx := context.Background()
 	l1, err := r.Acquire(ctx, "app.a", "")
@@ -102,7 +116,7 @@ func TestSingleflightConcurrentFirstLoad(t *testing.T) {
 	gate := make(chan struct{})
 	inj.Arm(faultinject.PointSnapshotLoad, faultinject.Fault{Block: gate, Count: 1})
 	r := NewRegistry(RegistryConfig{Metrics: met, Injector: inj})
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 
 	const n = 8
 	var wg sync.WaitGroup
@@ -141,7 +155,7 @@ func TestLRUEvictionOrderAndByteAccounting(t *testing.T) {
 	// Budget fits two images but not three.
 	r := NewRegistry(RegistryConfig{MaxBytes: 2*size + size/2, Metrics: met})
 	for _, app := range []string{"app.a", "app.b", "app.c"} {
-		r.RegisterBytes(app, "v1", img)
+		registerImage(t, r, app, "v1", img)
 	}
 	ctx := context.Background()
 	acquire := func(app string) {
@@ -204,8 +218,8 @@ func TestLeasedSnapshotIsNotEvicted(t *testing.T) {
 	size := int64(len(img))
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{MaxBytes: size + size/2, Metrics: met})
-	r.RegisterBytes("app.a", "v1", img)
-	r.RegisterBytes("app.b", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
+	registerImage(t, r, "app.b", "v1", img)
 
 	ctx := context.Background()
 	held, err := r.Acquire(ctx, "app.a", "")
@@ -229,7 +243,7 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 	_, img := sampleImage(t)
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{Metrics: met})
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 
 	ctx := context.Background()
 	old, err := r.Acquire(ctx, "app.a", "")
@@ -238,7 +252,7 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 	}
 
 	// Hot-swap the same app@version while the old lease is in flight.
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 	if got := met.Counter(metricHotSwaps).Value(); got != 1 {
 		t.Fatalf("hotswaps_total = %d, want 1", got)
 	}
@@ -285,8 +299,8 @@ func TestHotSwapDrainsOldSnapshot(t *testing.T) {
 func TestHotSwapNewVersionMovesLatest(t *testing.T) {
 	_, img := sampleImage(t)
 	r := NewRegistry(RegistryConfig{})
-	r.RegisterBytes("app.a", "v1", img)
-	r.RegisterBytes("app.a", "v2", img)
+	registerImage(t, r, "app.a", "v1", img)
+	registerImage(t, r, "app.a", "v2", img)
 
 	l, err := r.Acquire(context.Background(), "app.a", "")
 	if err != nil {
@@ -315,7 +329,7 @@ func TestQuarantineReprobeBackoff(t *testing.T) {
 	r := NewRegistry(RegistryConfig{Metrics: met, Injector: inj})
 	clock := time.Unix(1000, 0)
 	r.now = func() time.Time { return clock }
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 
 	ctx := context.Background()
 	// Probe 1: load fails, entry quarantined with base backoff.
@@ -371,7 +385,7 @@ func TestCorruptFileQuarantinesWithTypedError(t *testing.T) {
 	bad := corruptImage(t)
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{Metrics: met})
-	r.RegisterBytes("app.bad", "v1", bad)
+	registerImage(t, r, "app.bad", "v1", bad)
 
 	_, err := r.Acquire(context.Background(), "app.bad", "")
 	if !errors.Is(err, ErrSnapshotLoad) {
@@ -388,7 +402,7 @@ func TestCorruptFileQuarantinesWithTypedError(t *testing.T) {
 	// One corrupt snapshot never takes down the fleet: a healthy app
 	// registered beside it still serves.
 	_, img := sampleImage(t)
-	r.RegisterBytes("app.good", "v1", img)
+	registerImage(t, r, "app.good", "v1", img)
 	l, err := r.Acquire(context.Background(), "app.good", "")
 	if err != nil {
 		t.Fatalf("healthy app beside quarantined one: %v", err)
@@ -417,7 +431,7 @@ func TestSlowLoadAbandonedGoesColdNotQuarantined(t *testing.T) {
 	inj := faultinject.New()
 	inj.Arm(faultinject.PointSnapshotLoad, faultinject.Fault{Block: make(chan struct{}), Count: 1})
 	r := NewRegistry(RegistryConfig{Metrics: met, Injector: inj})
-	r.RegisterBytes("app.a", "v1", img)
+	registerImage(t, r, "app.a", "v1", img)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -449,7 +463,7 @@ func TestVersion1ImageQuarantines(t *testing.T) {
 	binary.LittleEndian.PutUint32(v1[8:], 1)
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{Metrics: met})
-	r.RegisterBytes("app.old", "v1", v1)
+	registerImage(t, r, "app.old", "v1", v1)
 
 	_, err := r.Acquire(context.Background(), "app.old", "")
 	if !errors.Is(err, ErrSnapshotLoad) || !errors.Is(err, snapfile.ErrVersion) {
@@ -464,7 +478,7 @@ func TestVersion1ImageQuarantines(t *testing.T) {
 		}
 	}
 
-	r.RegisterBytes("app.old", "v1", img)
+	registerImage(t, r, "app.old", "v1", img)
 	l, err := r.Acquire(context.Background(), "app.old", "")
 	if err != nil {
 		t.Fatalf("recompiled image: %v", err)

@@ -102,8 +102,8 @@ func (c Config) withDefaults() Config {
 
 // Daemon is the reviewd serving core: the snapshot registry plus the HTTP
 // surface with admission control, deadlines, panic containment, and
-// graceful shutdown. Build one with NewDaemon, mount Handler (or Start a
-// listener), and stop with Shutdown/Close.
+// graceful shutdown. Build one with NewDaemon, Start a listener, and stop
+// with Close.
 type Daemon struct {
 	cfg Config
 	reg *Registry
@@ -199,9 +199,6 @@ func NewDaemon(cfg Config) *Daemon {
 // test orchestration).
 func (d *Daemon) Registry() *Registry { return d.reg }
 
-// Handler returns the daemon's HTTP handler, mountable without a listener.
-func (d *Daemon) Handler() http.Handler { return d.mux }
-
 // Start binds addr (":0" picks a free port) and serves in the background.
 func (d *Daemon) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -217,20 +214,9 @@ func (d *Daemon) Start(addr string) error {
 // Addr returns the bound address (after Start).
 func (d *Daemon) Addr() string { return d.ln.Addr().String() }
 
-// Shutdown drains gracefully: new requests are refused with 503, in-flight
-// requests finish, and the call returns when the server is idle or ctx
-// ends, whichever is first.
-func (d *Daemon) Shutdown(ctx context.Context) error {
-	d.draining.Store(true)
-	if d.srv == nil {
-		return nil
-	}
-	return d.srv.Shutdown(ctx)
-}
-
-// Close is Shutdown under the configured DrainTimeout, falling back to an
-// abrupt close if the drain deadline passes (same policy as the obs debug
-// server).
+// Close drains gracefully under the configured DrainTimeout: new requests
+// are refused with 503 and in-flight requests finish. If the drain deadline
+// passes it closes abruptly (same policy as the obs debug server).
 func (d *Daemon) Close() error {
 	d.draining.Store(true)
 	if d.srv == nil {

@@ -41,7 +41,7 @@ func newTestDaemon(t *testing.T, mutate func(*Config)) *testDaemon {
 		mutate(&cfg)
 	}
 	d := NewDaemon(cfg)
-	d.Registry().RegisterBytes("app.sample", "v1", img)
+	registerImage(t, d.Registry(), "app.sample", "v1", img)
 	return &testDaemon{d: d, met: met, inj: inj}
 }
 
@@ -56,7 +56,7 @@ func (td *testDaemon) do(method, path string, body any) *httptest.ResponseRecord
 	}
 	req := httptest.NewRequest(method, path, rd)
 	w := httptest.NewRecorder()
-	td.d.Handler().ServeHTTP(w, req)
+	td.d.mux.ServeHTTP(w, req)
 	return w
 }
 
@@ -325,7 +325,7 @@ func TestRegisterEndpointServesFromFile(t *testing.T) {
 func TestChaosLoadFailureIsolation(t *testing.T) {
 	data, _ := sampleImage(t)
 	td := newTestDaemon(t, nil)
-	td.d.Registry().RegisterBytes("app.bad", "v1", corruptImage(t))
+	registerImage(t, td.d.Registry(), "app.bad", "v1", corruptImage(t))
 
 	w := td.do("POST", "/v1/localize", LocalizeRequest{App: "app.bad", Review: "it crashes"})
 	if w.Code != http.StatusServiceUnavailable || errorKind(t, w) != "load_failed" {
@@ -457,7 +457,7 @@ func TestChaosMidRequestCancellation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		td.d.Handler().ServeHTTP(w, req)
+		td.d.mux.ServeHTTP(w, req)
 	}()
 	waitFor(t, "request reaches the block", func() bool {
 		return td.inj.Fired(faultinject.PointRequest) == 1
@@ -527,11 +527,7 @@ func TestChaosGracefulShutdown(t *testing.T) {
 	})
 
 	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- td.d.Shutdown(ctx)
-	}()
+	go func() { shutdownDone <- td.d.Close() }()
 	waitFor(t, "daemon flips to draining", func() bool { return td.d.draining.Load() })
 
 	// New arrivals (through the handler — the listener is closing) refuse
@@ -543,11 +539,12 @@ func TestChaosGracefulShutdown(t *testing.T) {
 
 	close(gate)
 	// Drop pooled client conns (incl. speculative never-used dials, which
-	// the server holds in StateNew and Shutdown won't reap for 5s) so the
-	// drain completes as soon as the in-flight request does.
+	// the server holds in StateNew and Shutdown won't reap within the 5s
+	// drain budget) so the drain completes as soon as the in-flight request
+	// does.
 	http.DefaultClient.CloseIdleConnections()
 	if err := <-shutdownDone; err != nil {
-		t.Fatalf("Shutdown = %v, want clean drain", err)
+		t.Fatalf("Close = %v, want clean drain", err)
 	}
 	if got := <-inflight; got != http.StatusOK {
 		t.Fatalf("in-flight request during shutdown = %d, want 200 (drained)", got)
@@ -587,7 +584,7 @@ func TestChaosHotSwapUnderFire(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		time.Sleep(10 * time.Millisecond)
-		td.d.Registry().RegisterBytes("app.sample", "v1", img)
+		registerImage(t, td.d.Registry(), "app.sample", "v1", img)
 	}
 	close(stop)
 	wg.Wait()
@@ -611,7 +608,7 @@ func TestChaosHotSwapUnderFire(t *testing.T) {
 // cleanly.
 func TestServeSmoke(t *testing.T) {
 	const perApp = 8
-	appA, appB := synth.GenerateSamplePair(1)
+	appA, appB := samplePair(1)
 	apps := []*synth.AppData{appA, appB}
 
 	inj := faultinject.New()
@@ -712,7 +709,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("%d requests to %s hit the armed panic, want exactly 1", panics, appB.Info.Package)
 	}
 	// Every localization that ran was sampled and kept its explain trace.
-	if got, want := d.traces.Stored(), int64(len(apps)*perApp-panics); got != want {
+	if got, want := storedTraces(d), len(apps)*perApp-panics; got != want {
 		t.Errorf("%d traces stored, want %d (one per localized request)", got, want)
 	}
 

@@ -37,9 +37,6 @@ func (e *Enc) U16(v uint16) { e.buf = binary.LittleEndian.AppendUint16(e.buf, v)
 // U32 appends a little-endian uint32.
 func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 
-// I32 appends a little-endian int32.
-func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
-
 // U64 appends a little-endian uint64.
 func (e *Enc) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 
@@ -152,15 +149,6 @@ func (d *Dec) Bool() bool {
 	return v == 1
 }
 
-// U16 reads a little-endian uint16.
-func (d *Dec) U16() uint16 {
-	b := d.take(2, "u16")
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a little-endian uint32.
 func (d *Dec) U32() uint32 {
 	b := d.take(4, "u32")
@@ -169,9 +157,6 @@ func (d *Dec) U32() uint32 {
 	}
 	return binary.LittleEndian.Uint32(b)
 }
-
-// I32 reads a little-endian int32.
-func (d *Dec) I32() int32 { return int32(d.U32()) }
 
 // U64 reads a little-endian uint64.
 func (d *Dec) U64() uint64 {
@@ -291,8 +276,8 @@ func (d *Dec) StrSliceIn(a *StrArena) []string {
 	return out
 }
 
-// StrSlice2In is StrSlice2 drawing outer and inner backing arrays from the
-// arena.
+// StrSlice2In reads a slice of string slices (Enc.StrSlice2's encoding),
+// drawing outer and inner backing arrays from the arena.
 func (d *Dec) StrSlice2In(a *StrArena) [][]string {
 	n := d.Count(4)
 	if n == 0 {
@@ -308,19 +293,6 @@ func (d *Dec) StrSlice2In(a *StrArena) [][]string {
 	a.Lists = a.Lists[n:]
 	for i := range out {
 		out[i] = d.StrSliceIn(a)
-	}
-	return out
-}
-
-// StrSlice2 reads a slice of string slices.
-func (d *Dec) StrSlice2() [][]string {
-	n := d.Count(4)
-	if n == 0 {
-		return nil
-	}
-	out := make([][]string, n)
-	for i := range out {
-		out[i] = d.StrSlice()
 	}
 	return out
 }

@@ -137,11 +137,6 @@ func (w *Writer) Bytes() []byte {
 	return out
 }
 
-// WriteFile assembles the image and writes it to path.
-func (w *Writer) WriteFile(path string) error {
-	return os.WriteFile(path, w.Bytes(), 0o644)
-}
-
 func pad8(n int) int { return (n + align - 1) &^ (align - 1) }
 
 // --- reader ---------------------------------------------------------------------
@@ -256,9 +251,6 @@ func (r *Reader) MustSection(id uint32) ([]byte, error) {
 
 // SectionCount returns the number of sections in the file.
 func (r *Reader) SectionCount() int { return len(r.ids) }
-
-// Len returns the total file length in bytes.
-func (r *Reader) Len() int { return len(r.data) }
 
 func hostLittleEndian() bool {
 	var x uint16 = 1

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -259,4 +260,31 @@ func TestFloat64View(t *testing.T) {
 	if Float64Bytes(nil) != nil {
 		t.Fatal("Float64Bytes(nil) != nil")
 	}
+}
+
+// I32 appends a little-endian int32.
+func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
+
+// I32 reads a little-endian int32.
+func (d *Dec) I32() int32 { return int32(d.U32()) }
+
+// StrSlice2 reads a slice of string slices.
+func (d *Dec) StrSlice2() [][]string {
+	n := d.Count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([][]string, n)
+	for i := range out {
+		out[i] = d.StrSlice()
+	}
+	return out
+}
+
+// Len returns the total file length in bytes.
+func (r *Reader) Len() int { return len(r.data) }
+
+// WriteFile assembles the image and writes it to path.
+func (w *Writer) WriteFile(path string) error {
+	return os.WriteFile(path, w.Bytes(), 0o644)
 }

@@ -58,11 +58,6 @@ func Table6Specs() []AppInfo {
 	return specInfos(table6Apps)
 }
 
-// Table14Specs exposes the Table 14 inventory.
-func Table14Specs() []AppInfo {
-	return specInfos(table14Apps)
-}
-
 // AppInfo is the public view of an app specification.
 type AppInfo struct {
 	Package       string

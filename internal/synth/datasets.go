@@ -323,13 +323,6 @@ func GenerateSample(seed int64) *AppData {
 	return GenerateApp(table6Apps[4], seed)
 }
 
-// GenerateSamplePair generates two distinct app corpora from one seed — the
-// minimal multi-app fixture for fleet-serving harnesses (per-app metrics,
-// SLO digests) that need more than one package name in play.
-func GenerateSamplePair(seed int64) (*AppData, *AppData) {
-	return GenerateApp(table6Apps[4], seed), GenerateApp(table6Apps[0], seed)
-}
-
 // Summary prints a one-line description of an app corpus, for tooling.
 func (d *AppData) Summary() string {
 	return fmt.Sprintf("%s (%s): %d releases, %d classes, %d reviews (%d error), %d bug reports, %d release notes",

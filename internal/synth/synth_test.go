@@ -258,13 +258,3 @@ func TestSummary(t *testing.T) {
 		t.Errorf("Summary = %q", s)
 	}
 }
-
-// TestGeneratedAppsValidate: every generated app IR must pass the apk
-// validator (no dangling layout/string/activity references).
-func TestGeneratedAppsValidate(t *testing.T) {
-	for _, data := range append(GenerateTable6(2), GenerateTable14(2)...) {
-		if issues := data.App.Validate(); len(issues) != 0 {
-			t.Errorf("%s: %v", data.Info.Package, issues)
-		}
-	}
-}

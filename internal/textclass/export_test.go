@@ -73,3 +73,9 @@ func NewOracleWalk(bt *BoostedTrees) *OracleWalk {
 func (o *OracleWalk) Score(x FeatureVector) float64 {
 	return sigmoid(oracleMargin(o.bias, o.shrinkage, o.trees, x))
 }
+
+// Score returns the positive-class probability; the review pipeline uses it
+// for ranking ambiguous reviews.
+func (bt *BoostedTrees) Score(x FeatureVector) float64 {
+	return sigmoid(bt.forest.sum(x, bt.bias, bt.shrinkage))
+}

@@ -179,49 +179,6 @@ func (v *Vectorizer) Fit(docs []Document) {
 	}
 }
 
-// VocabSize returns the number of features after fitting.
-func (v *Vectorizer) VocabSize() int { return len(v.vocab) }
-
-// FeatureName returns the raw feature string (word or n-gram) behind a
-// feature index, for introspection of trained models.
-func (v *Vectorizer) FeatureName(idx int) (string, bool) {
-	for name, i := range v.vocab {
-		if i == idx {
-			return name, true
-		}
-	}
-	return "", false
-}
-
-// TopFeatureNames resolves the k highest-importance features of a trained
-// BoostedTrees model into their raw strings, most important first.
-func (v *Vectorizer) TopFeatureNames(bt *BoostedTrees, k int) []string {
-	imp := bt.FeatureImportances()
-	idxs := make([]int, 0, len(imp))
-	for f := range imp {
-		idxs = append(idxs, f)
-	}
-	sort.Slice(idxs, func(a, b int) bool {
-		if imp[idxs[a]] != imp[idxs[b]] {
-			return imp[idxs[a]] > imp[idxs[b]]
-		}
-		return idxs[a] < idxs[b]
-	})
-	if k > len(idxs) {
-		k = len(idxs)
-	}
-	// Invert the vocabulary once instead of per lookup.
-	inv := make(map[int]string, len(v.vocab))
-	for name, i := range v.vocab {
-		inv[i] = name
-	}
-	out := make([]string, 0, k)
-	for _, f := range idxs[:k] {
-		out = append(out, inv[f])
-	}
-	return out
-}
-
 // transformScratch recycles the per-call working state of Transform: the
 // token slice, the negation drop set, the n-gram key buffer, and the counts
 // map. One Vectorizer is shared across pool workers, so the scratch lives in

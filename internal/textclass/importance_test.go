@@ -2,6 +2,7 @@ package textclass
 
 import (
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -83,4 +84,79 @@ func TestImportancesEmptyModel(t *testing.T) {
 	if got := bt.FeatureImportances(); len(got) != 0 {
 		t.Errorf("untrained model has importances: %v", got)
 	}
+}
+
+// subtreeMean averages the two subtrees of every inner node below node i.
+func (f *forest) subtreeMean(i int32) float64 {
+	n := &f.nodes[i]
+	if n.slot < 0 {
+		return n.value
+	}
+	return (f.subtreeMean(i+1) + f.subtreeMean(n.right)) / 2
+}
+
+// FeatureImportances returns the gradient-boosting importance of each
+// feature: the total absolute difference between the two child responses of
+// every split on that feature, summed over the ensemble. Higher means the
+// feature moves predictions more. Useful for inspecting what the review
+// classifier learned (e.g. that "crash" and "cannot" dominate).
+func (bt *BoostedTrees) FeatureImportances() map[int]float64 {
+	out := make(map[int]float64)
+	f := &bt.forest
+	// Nodes are in preorder tree by tree, the order a recursive walk of
+	// the ensemble visits its splits.
+	for i, n := range f.nodes {
+		if n.slot < 0 {
+			continue
+		}
+		d := f.subtreeMean(int32(i)+1) - f.subtreeMean(n.right)
+		if d < 0 {
+			d = -d
+		}
+		out[n.feature] += d
+	}
+	return out
+}
+
+// VocabSize returns the number of features after fitting.
+func (v *Vectorizer) VocabSize() int { return len(v.vocab) }
+
+// FeatureName returns the raw feature string (word or n-gram) behind a
+// feature index, for introspection of trained models.
+func (v *Vectorizer) FeatureName(idx int) (string, bool) {
+	for name, i := range v.vocab {
+		if i == idx {
+			return name, true
+		}
+	}
+	return "", false
+}
+
+// TopFeatureNames resolves the k highest-importance features of a trained
+// BoostedTrees model into their raw strings, most important first.
+func (v *Vectorizer) TopFeatureNames(bt *BoostedTrees, k int) []string {
+	imp := bt.FeatureImportances()
+	idxs := make([]int, 0, len(imp))
+	for f := range imp {
+		idxs = append(idxs, f)
+	}
+	sort.Slice(idxs, func(a, b int) bool {
+		if imp[idxs[a]] != imp[idxs[b]] {
+			return imp[idxs[a]] > imp[idxs[b]]
+		}
+		return idxs[a] < idxs[b]
+	})
+	if k > len(idxs) {
+		k = len(idxs)
+	}
+	// Invert the vocabulary once instead of per lookup.
+	inv := make(map[int]string, len(v.vocab))
+	for name, i := range v.vocab {
+		inv[i] = name
+	}
+	out := make([]string, 0, k)
+	for _, f := range idxs[:k] {
+		out = append(out, inv[f])
+	}
+	return out
 }

@@ -122,15 +122,6 @@ func (f *forest) sum(x FeatureVector, start, scale float64) float64 {
 	return s
 }
 
-// subtreeMean averages the two subtrees of every inner node below node i.
-func (f *forest) subtreeMean(i int32) float64 {
-	n := &f.nodes[i]
-	if n.slot < 0 {
-		return n.value
-	}
-	return (f.subtreeMean(i+1) + f.subtreeMean(n.right)) / 2
-}
-
 // grower is the state one ensemble's trees share while they grow.
 type grower struct {
 	forest
@@ -413,35 +404,6 @@ func (bt *BoostedTrees) bestSplit(g *grower, r []float64, idx []int) int {
 // Predict implements Classifier.
 func (bt *BoostedTrees) Predict(x FeatureVector) bool {
 	return sigmoid(bt.forest.sum(x, bt.bias, bt.shrinkage)) >= 0.5
-}
-
-// FeatureImportances returns the gradient-boosting importance of each
-// feature: the total absolute difference between the two child responses of
-// every split on that feature, summed over the ensemble. Higher means the
-// feature moves predictions more. Useful for inspecting what the review
-// classifier learned (e.g. that "crash" and "cannot" dominate).
-func (bt *BoostedTrees) FeatureImportances() map[int]float64 {
-	out := make(map[int]float64)
-	f := &bt.forest
-	// Nodes are in preorder tree by tree, the order a recursive walk of
-	// the ensemble visits its splits.
-	for i, n := range f.nodes {
-		if n.slot < 0 {
-			continue
-		}
-		d := f.subtreeMean(int32(i)+1) - f.subtreeMean(n.right)
-		if d < 0 {
-			d = -d
-		}
-		out[n.feature] += d
-	}
-	return out
-}
-
-// Score returns the positive-class probability; the review pipeline uses it
-// for ranking ambiguous reviews.
-func (bt *BoostedTrees) Score(x FeatureVector) float64 {
-	return sigmoid(bt.forest.sum(x, bt.bias, bt.shrinkage))
 }
 
 func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }

@@ -5,7 +5,7 @@ import "sort"
 // reviewDictionary is the built-in vocabulary of app-review English: the
 // words that occur in mobile-app reviews about function errors, plus general
 // high-frequency English. It doubles as the spell-repair target dictionary
-// (§3.2.1). App-specific vocabulary is injected per app via WithExtraWords.
+// (§3.2.1).
 var reviewDictionary = []string{
 	// --- function-error core vocabulary ---
 	"error", "errors", "bug", "bugs", "crash", "crashes", "crashed", "crashing",

@@ -1,45 +1,5 @@
 package textproc
 
-// Levenshtein returns the edit distance between a and b: the minimum number
-// of single-character insertions, deletions, and substitutions needed to turn
-// a into b. The paper uses edit distance to repair typos in reviews against a
-// dictionary (§3.2.1).
-func Levenshtein(a, b string) int {
-	if a == b {
-		return 0
-	}
-	if len(a) == 0 {
-		return len(b)
-	}
-	if len(b) == 0 {
-		return len(a)
-	}
-	// Single-row dynamic program.
-	prev := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur := prev[0]
-		prev[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			next := min3(prev[j]+1, prev[j-1]+1, cur+cost)
-			cur = prev[j]
-			prev[j] = next
-		}
-	}
-	return prev[len(b)]
-}
-
-// LevenshteinAtMost reports whether Levenshtein(a,b) <= k, with early exit.
-func LevenshteinAtMost(a, b string, k int) bool {
-	return LevenshteinBounded(a, b, k) <= k
-}
-
 // LevenshteinBounded returns the exact edit distance when it is <= k and
 // k+1 otherwise. It is what the spell repairer calls in its inner loop: the
 // repair threshold is 1 in practice, where a direct one-edit check is O(n)
@@ -151,14 +111,4 @@ func oneEditDistance(a, b string) int {
 		}
 	}
 	return 1
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

@@ -89,3 +89,53 @@ func TestLevenshteinBoundedMutations(t *testing.T) {
 		}
 	}
 }
+
+// Levenshtein is the reference edit distance the bounded production
+// version is checked against: the minimum number of single-character
+// insertions, deletions, and substitutions needed to turn a into b, by the
+// full single-row dynamic program.
+func Levenshtein(a, b string) int {
+	if a == b {
+		return 0
+	}
+	if len(a) == 0 {
+		return len(b)
+	}
+	if len(b) == 0 {
+		return len(a)
+	}
+	// Single-row dynamic program.
+	prev := make([]int, len(b)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(a); i++ {
+		cur := prev[0]
+		prev[0] = i
+		for j := 1; j <= len(b); j++ {
+			cost := 1
+			if a[i-1] == b[j-1] {
+				cost = 0
+			}
+			next := min3(prev[j]+1, prev[j-1]+1, cur+cost)
+			cur = prev[j]
+			prev[j] = next
+		}
+	}
+	return prev[len(b)]
+}
+
+// LevenshteinAtMost reports whether Levenshtein(a,b) <= k, with early exit.
+func LevenshteinAtMost(a, b string, k int) bool {
+	return LevenshteinBounded(a, b, k) <= k
+}
+
+func min3(a, b, c int) int {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
+}

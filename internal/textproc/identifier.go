@@ -131,7 +131,3 @@ func ExpandUIWords(words []string) []string {
 	}
 	return out
 }
-
-// UIAbbreviationCount returns the number of UI abbreviations known; the
-// paper reports 39 (§3.3.2).
-func UIAbbreviationCount() int { return len(uiAbbreviations) }

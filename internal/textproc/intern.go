@@ -69,13 +69,6 @@ func (in *Interner) ID(word string) (uint32, bool) {
 	return id, ok
 }
 
-// Word returns the word behind an ID (panics on out-of-range IDs, like a
-// slice index).
-func (in *Interner) Word(id uint32) string { return in.words[id] }
-
-// Flags returns the vocabulary-membership flags of an ID.
-func (in *Interner) Flags(id uint32) uint16 { return in.flags[id] }
-
 // Annotate stamps every Word/Number token with its interner handle:
 // Token.ID is the dense ID plus one, so zero keeps meaning "unknown or not
 // annotated". One map probe here replaces the per-stage string hashing
@@ -93,35 +86,11 @@ func (in *Interner) Annotate(toks []Token) {
 	}
 }
 
-// IsStop reports whether a token annotated by this interner is a stopword,
-// without hashing its text. Unannotated tokens fall back to the map test.
-func (in *Interner) IsStop(t Token) bool {
-	if t.ID != 0 {
-		return in.flags[t.ID-1]&SymStopword != 0
-	}
-	return IsStopword(t.Lower)
-}
-
 // Export returns the symbol table in ID order: the interned words and their
 // flags, parallel slices suitable for serialization. The slices alias the
 // interner's internals; callers must not mutate them.
 func (in *Interner) Export() (words []string, flags []uint16) {
 	return in.words, in.flags
-}
-
-// NewInternerFromTable rebuilds an interner from an Export-style table,
-// preserving IDs (words[i] gets ID i). It is the deserialization twin of
-// Export: NewInternerFromTable(in.Export()) is equivalent to in.
-func NewInternerFromTable(words []string, flags []uint16) *Interner {
-	in := &Interner{
-		ids:   make(map[string]uint32, len(words)),
-		words: words,
-		flags: flags,
-	}
-	for i, w := range words {
-		in.ids[w] = uint32(i)
-	}
-	return in
 }
 
 // AppendIDs appends the 4-byte little-endian IDs of the words to dst and

@@ -153,3 +153,34 @@ func TestInternerExportRoundTrip(t *testing.T) {
 		t.Fatal("merged flags lost in round trip")
 	}
 }
+
+// Word returns the word behind an ID (panics on out-of-range IDs, like a
+// slice index).
+func (in *Interner) Word(id uint32) string { return in.words[id] }
+
+// Flags returns the vocabulary-membership flags of an ID.
+func (in *Interner) Flags(id uint32) uint16 { return in.flags[id] }
+
+// NewInternerFromTable rebuilds an interner from an Export-style table,
+// preserving IDs (words[i] gets ID i). It is the deserialization twin of
+// Export: NewInternerFromTable(in.Export()) is equivalent to in.
+func NewInternerFromTable(words []string, flags []uint16) *Interner {
+	in := &Interner{
+		ids:   make(map[string]uint32, len(words)),
+		words: words,
+		flags: flags,
+	}
+	for i, w := range words {
+		in.ids[w] = uint32(i)
+	}
+	return in
+}
+
+// IsStop reports whether a token annotated by this interner is a stopword,
+// without hashing its text. Unannotated tokens fall back to the map test.
+func (in *Interner) IsStop(t Token) bool {
+	if t.ID != 0 {
+		return in.flags[t.ID-1]&SymStopword != 0
+	}
+	return IsStopword(t.Lower)
+}

@@ -1,7 +1,6 @@
 package textproc
 
 import (
-	"sort"
 	"strings"
 	"sync"
 )
@@ -14,7 +13,6 @@ type Normalizer struct {
 	dict    map[string]struct{}
 	byLen   map[int][]string // dictionary words grouped by length for candidate pruning
 	abbrevs map[string]string
-	maxDist int
 
 	// Review vocabulary is heavily repeated, and a repair scan walks every
 	// dictionary word of a near length, so repaired (and rejected) words are
@@ -32,41 +30,21 @@ type Normalizer struct {
 // limit; review vocabularies are far smaller in practice.
 const memoCap = 1 << 16
 
-// NormalizerOption configures a Normalizer.
-type NormalizerOption func(*Normalizer)
-
-// WithMaxEditDistance sets the maximum edit distance allowed when repairing a
-// typo (default 1; the paper's pipeline is conservative to avoid rewriting
-// app-specific names).
-func WithMaxEditDistance(d int) NormalizerOption {
-	return func(n *Normalizer) { n.maxDist = d }
-}
-
-// WithExtraWords adds app-specific vocabulary (e.g. class-name words, app
-// names) so that they are not "repaired" into dictionary words.
-func WithExtraWords(words []string) NormalizerOption {
-	return func(n *Normalizer) {
-		for _, w := range words {
-			n.addWord(strings.ToLower(w))
-		}
-	}
-}
+// maxDist is the largest edit distance a typo repair may span. The paper's
+// pipeline is conservative to avoid rewriting app-specific names.
+const maxDist = 1
 
 // NewNormalizer builds a Normalizer over the built-in review-English
 // dictionary and abbreviation table.
-func NewNormalizer(opts ...NormalizerOption) *Normalizer {
+func NewNormalizer() *Normalizer {
 	n := &Normalizer{
 		dict:    make(map[string]struct{}, len(reviewDictionary)),
 		byLen:   make(map[int][]string),
 		abbrevs: reviewAbbreviations,
-		maxDist: 1,
 		memo:    make(map[string]string),
 	}
 	for _, w := range reviewDictionary {
 		n.addWord(w)
-	}
-	for _, opt := range opts {
-		opt(n)
 	}
 	return n
 }
@@ -83,13 +61,6 @@ func (n *Normalizer) addWord(w string) {
 func (n *Normalizer) Known(word string) bool {
 	_, ok := n.dict[word]
 	return ok
-}
-
-// ExpandAbbreviation returns the expansion of a review abbreviation
-// ("pls" → "please") and whether one applied.
-func (n *Normalizer) ExpandAbbreviation(word string) (string, bool) {
-	exp, ok := n.abbrevs[word]
-	return exp, ok
 }
 
 // NormalizeWord expands abbreviations then repairs typos. Words of three or
@@ -146,11 +117,11 @@ func (n *Normalizer) MemoSize() int {
 // repair finds the closest dictionary word within maxDist, or returns w
 // unchanged when none qualifies.
 func (n *Normalizer) repair(w string) string {
-	best, bestDist := "", n.maxDist+1
-	for l := len(w) - n.maxDist; l <= len(w)+n.maxDist; l++ {
+	best, bestDist := "", maxDist+1
+	for l := len(w) - maxDist; l <= len(w)+maxDist; l++ {
 		for _, cand := range n.byLen[l] {
-			d := LevenshteinBounded(w, cand, n.maxDist)
-			if d > n.maxDist {
+			d := LevenshteinBounded(w, cand, maxDist)
+			if d > maxDist {
 				continue
 			}
 			if d < bestDist || (d == bestDist && cand < best) {
@@ -217,18 +188,4 @@ func isAlphaWord(w string) bool {
 		}
 	}
 	return true
-}
-
-// DictionarySize returns the number of words the normalizer knows; useful
-// for diagnostics and tests.
-func (n *Normalizer) DictionarySize() int { return len(n.dict) }
-
-// DictionaryWords returns a sorted copy of the dictionary, mainly for tests.
-func (n *Normalizer) DictionaryWords() []string {
-	out := make([]string, 0, len(n.dict))
-	for w := range n.dict {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
 }

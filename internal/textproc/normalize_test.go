@@ -3,6 +3,8 @@ package textproc
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -46,7 +48,7 @@ func TestNormalizeWordDeterministic(t *testing.T) {
 func TestWithExtraWords(t *testing.T) {
 	// Without the extra word, "twidere" would be eligible for repair;
 	// with it, it must pass through.
-	n := NewNormalizer(WithExtraWords([]string{"twidere", "wordpress"}))
+	n := NewNormalizer().withExtraWords([]string{"twidere", "wordpress"})
 	if !n.Known("twidere") {
 		t.Fatal("extra word not registered")
 	}
@@ -199,3 +201,30 @@ func TestNormalizeMemoBounded(t *testing.T) {
 		t.Error("prev-generation hit was not promoted to the current generation")
 	}
 }
+
+// withExtraWords adds app-specific vocabulary (e.g. class-name words, app
+// names) so that they are not "repaired" into dictionary words.
+func (n *Normalizer) withExtraWords(words []string) *Normalizer {
+	for _, w := range words {
+		n.addWord(strings.ToLower(w))
+	}
+	return n
+}
+
+// DictionarySize returns the number of words the normalizer knows; useful
+// for diagnostics and tests.
+func (n *Normalizer) DictionarySize() int { return len(n.dict) }
+
+// DictionaryWords returns a sorted copy of the dictionary, mainly for tests.
+func (n *Normalizer) DictionaryWords() []string {
+	out := make([]string, 0, len(n.dict))
+	for w := range n.dict {
+		out = append(out, w)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// UIAbbreviationCount returns the number of UI abbreviations known; the
+// paper reports 39 (§3.3.2).
+func UIAbbreviationCount() int { return len(uiAbbreviations) }

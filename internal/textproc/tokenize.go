@@ -45,9 +45,6 @@ const (
 	Emoji
 )
 
-// IsWord reports whether the token is an alphabetic word.
-func (t Token) IsWord() bool { return t.Kind == Word }
-
 // StripNonASCII removes every byte outside the printable ASCII range,
 // replacing runs of removed characters with a single space so that words
 // separated only by emoji do not fuse together. The paper removes non-ASCII

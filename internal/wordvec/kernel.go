@@ -75,15 +75,6 @@ func dotRow(a *Vector, row []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// DotBatch writes the dot product of query against every row of the
-// flattened row-major matrix (len(matrix) = len(out)×Dim) into out. For
-// unit-or-zero rows the outputs are the cosine similarities.
-func DotBatch(query Vector, matrix []float64, out []float64) {
-	for r := range out {
-		out[r] = dotRow(&query, matrix[r*Dim:(r+1)*Dim])
-	}
-}
-
 // Matrix is a structure-of-arrays batch of candidate phrase vectors: the
 // vectors flattened row-major into one contiguous block, plus (after Finish)
 // the anchor-projection sketch the exact prescreen reads. A finished Matrix
@@ -119,13 +110,14 @@ func (m *Matrix) Rows() int { return m.rows }
 // matrix; callers must not write to it.
 func (m *Matrix) Row(i int) []float64 { return m.data[i*Dim : (i+1)*Dim] }
 
-// Data returns the flattened row-major block, for DotBatch-style callers.
+// Data returns the flattened row-major block (the snapshot encoder writes
+// it verbatim).
 func (m *Matrix) Data() []float64 { return m.data }
 
 // Finish builds the prescreen sketch: each row's projections onto the
-// anchor basis and the norm of what remains. Scans work without it (pure
-// DotBatch); with it, rows whose upper bound cannot reach the threshold are
-// skipped.
+// anchor basis and the norm of what remains. Scans work without it (every
+// row pays a full dot product); with it, rows whose upper bound cannot
+// reach the threshold are skipped.
 func (m *Matrix) Finish() {
 	basis := anchorBasis()
 	k := len(basis)
@@ -246,18 +238,13 @@ func (c *ScanCount) Merge(o ScanCount) {
 	c.Matched += o.Matched
 }
 
-// ScanThreshold calls yield(row, dot) in row order for every row in
-// [start, end) whose dot with the query reaches the threshold. With a
-// finished sketch, rows whose upper bound provably cannot reach the
-// threshold are skipped without reading their Dim floats; the yielded set is
-// identical either way.
-func (m *Matrix) ScanThreshold(q *Query, threshold float64, start, end int, yield func(row int, dot float64)) {
-	m.ScanThresholdCount(q, threshold, start, end, yield)
-}
-
-// ScanThresholdCount is ScanThreshold returning the scan's ScanCount. The
-// bookkeeping is three register increments alongside the bound test, so
-// the counted scan is the only scan — there is no separate stats pass.
+// ScanThresholdCount calls yield(row, dot) in row order for every row in
+// [start, end) whose dot with the query reaches the threshold, and returns
+// the scan's ScanCount. With a finished sketch, rows whose upper bound
+// provably cannot reach the threshold are skipped without reading their Dim
+// floats; the yielded set is identical either way. The bookkeeping is three
+// register increments alongside the bound test, so the counted scan is the
+// only scan — there is no separate stats pass.
 func (m *Matrix) ScanThresholdCount(q *Query, threshold float64, start, end int, yield func(row int, dot float64)) ScanCount {
 	var sc ScanCount
 	cutoff := threshold - prescreenEps
@@ -275,16 +262,10 @@ func (m *Matrix) ScanThresholdCount(q *Query, threshold float64, start, end int,
 	return sc
 }
 
-// AnyAtLeast reports whether any row in [start, end) reaches the threshold,
-// stopping at the first hit (the per-entry early break of Algorithm 1).
-func (m *Matrix) AnyAtLeast(q *Query, threshold float64, start, end int) bool {
-	ok, _ := m.AnyAtLeastCount(q, threshold, start, end)
-	return ok
-}
-
-// AnyAtLeastCount is AnyAtLeast returning the counts of the rows actually
-// touched: because the scan stops at the first hit, Matched is at most 1
-// and rows after the hit are neither pruned nor evaluated.
+// AnyAtLeastCount reports whether any row in [start, end) reaches the
+// threshold, stopping at the first hit (the per-entry early break of
+// Algorithm 1), and returns the counts of the rows actually touched: Matched
+// is at most 1 and rows after the hit are neither pruned nor evaluated.
 func (m *Matrix) AnyAtLeastCount(q *Query, threshold float64, start, end int) (bool, ScanCount) {
 	var sc ScanCount
 	cutoff := threshold - prescreenEps

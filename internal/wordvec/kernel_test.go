@@ -450,3 +450,12 @@ func TestRowVectors(t *testing.T) {
 		t.Fatalf("empty block: %v %v", v, err)
 	}
 }
+
+// DotBatch writes the dot product of query against every row of the
+// flattened row-major matrix (len(matrix) = len(out)×Dim) into out. For
+// unit-or-zero rows the outputs are the cosine similarities.
+func DotBatch(query Vector, matrix []float64, out []float64) {
+	for r := range out {
+		out[r] = dotRow(&query, matrix[r*Dim:(r+1)*Dim])
+	}
+}

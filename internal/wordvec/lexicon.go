@@ -145,9 +145,6 @@ var synonymGroups = []synGroup{
 	{topic: "misc", words: []string{"archive", "archives", "archived"}},
 }
 
-// GroupCount returns the number of synonym groups; exposed for tests.
-func GroupCount() int { return len(synonymGroups) }
-
 // LexiconWords returns every word of the embedding lexicon (group words and
 // topic anchors, deduplicated) in sorted order, for interner construction.
 func LexiconWords() []string {

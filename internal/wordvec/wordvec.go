@@ -19,8 +19,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-
-	"reviewsolver/internal/textproc"
 )
 
 // Dim is the dimensionality of the embedding vectors.
@@ -157,21 +155,6 @@ func (m *Model) PhraseVector(words []string) Vector {
 // slices.
 func (m *Model) Similarity(a, b []string) float64 {
 	return Cosine(m.PhraseVector(a), m.PhraseVector(b))
-}
-
-// SimilarityText tokenizes two phrase strings and returns their similarity.
-func (m *Model) SimilarityText(a, b string) float64 {
-	return m.Similarity(textproc.Words(a), textproc.Words(b))
-}
-
-// Similar reports whether two phrases meet the similarity threshold.
-func (m *Model) Similar(a, b []string) bool {
-	return m.Similarity(a, b) >= m.threshold
-}
-
-// SimilarText reports whether two phrase strings meet the threshold.
-func (m *Model) SimilarText(a, b string) bool {
-	return m.SimilarityText(a, b) >= m.threshold
 }
 
 // WordSimilarity returns the cosine similarity of two single words.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"reviewsolver/internal/textproc"
 )
 
 func TestVectorDeterministic(t *testing.T) {
@@ -202,3 +204,16 @@ func TestConcurrentVector(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// SimilarityText tokenizes two phrase strings and returns their similarity.
+func (m *Model) SimilarityText(a, b string) float64 {
+	return m.Similarity(textproc.Words(a), textproc.Words(b))
+}
+
+// SimilarText reports whether two phrase strings meet the threshold.
+func (m *Model) SimilarText(a, b string) bool {
+	return m.SimilarityText(a, b) >= m.threshold
+}
+
+// GroupCount returns the number of synonym groups; exposed for tests.
+func GroupCount() int { return len(synonymGroups) }
