@@ -276,7 +276,7 @@ func TestFleetObsEndpoints(t *testing.T) {
 	}
 }
 
-var update = flag.Bool("update", false, "rewrite bench/BENCH_FLEETOBS.json from this run")
+var update = flag.Bool("update", false, "rewrite the golden files (bench/BENCH_FLEETOBS.json, testdata/served_golden.json) from this run")
 
 // fleetObsGolden is the committed fleet-observability golden. It keeps the
 // BENCH_<name>.json layout of benchgate's baselines.
