@@ -39,23 +39,27 @@ run_step() {
 		;;
 	race)
 		# The packages whose values are shared across goroutines: snapshots,
-		# the app IR's release index and diff memo, the trained classifier,
-		# the Q&A index, the telemetry registry and the serving daemon (its
-		# chaos suite and TestServeSmoke).
-		go test -race ./internal/apk/... ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
+		# the app IR's release index and diff memo, the property graph's
+		# memoized method order, the trained classifier, the Q&A index, the
+		# telemetry registry and the serving daemon (its chaos suite and
+		# TestServeSmoke).
+		go test -race ./internal/apk/... ./internal/apg/... ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 		;;
 	fuzz-smoke)
-		# The decoders (snapshot container, snapshot load) return typed
-		# errors and never panic; reviewd maps any request body to a typed
-		# 4xx, never a 500; the prescreened scan yields exactly what a
-		# brute-force dot loop yields; the compiled forest scores arbitrary
-		# text exactly as the reference tree walk does; the Q&A posting index
-		# ranks arbitrary phrases exactly as the linear scan does. Seed
+		# The decoders (snapshot container, snapshot load, app IR JSON
+		# through compile and load) return typed errors and never panic, and
+		# an IR that compiles and loads localizes as its built snapshot does;
+		# reviewd maps any request body to a typed 4xx, never a 500; the
+		# prescreened scan yields exactly what a brute-force dot loop
+		# yields; the compiled forest scores arbitrary text exactly as the
+		# reference tree walk does; the Q&A posting index ranks arbitrary
+		# phrases exactly as the linear scan does. Seed
 		# corpora live under */testdata/fuzz/. Minimization is capped at 10
 		# runs per input: unbounded, the snapshot-load target spends its
-		# whole budget minimizing inputs derived from its 0.8 MB seed image.
+		# whole budget minimizing inputs derived from its 0.56 MB seed image.
 		go test -run '^$' -fuzz FuzzOpen -fuzztime 5s -fuzzminimizetime 10x ./internal/snapfile
 		go test -run '^$' -fuzz FuzzLoadSnapshotBytes -fuzztime 5s -fuzzminimizetime 10x ./internal/core
+		go test -run '^$' -fuzz FuzzAppJSON -fuzztime 5s -fuzzminimizetime 10x ./internal/core
 		go test -run '^$' -fuzz FuzzServeRequest -fuzztime 5s -fuzzminimizetime 10x ./internal/serve
 		go test -run '^$' -fuzz FuzzScan -fuzztime 5s -fuzzminimizetime 10x ./internal/wordvec
 		go test -run '^$' -fuzz FuzzClassify -fuzztime 5s -fuzzminimizetime 10x ./internal/textclass

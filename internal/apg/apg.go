@@ -6,7 +6,9 @@
 package apg
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"reviewsolver/internal/apk"
@@ -36,17 +38,10 @@ type Graph struct {
 	release *apk.Release
 	// methods indexes app methods by (class, method).
 	methods map[ref]*apk.Method
-	// callSites indexes invocation sites by callee (class, method).
+	// callSites indexes invocation sites by callee (class, method): the MCG
+	// edges, read backwards from the callee. Ranking's dependency counts and
+	// §4.2.3's exception callers are derived from it per query.
 	callSites map[ref][]Site
-	// mcgOnce guards the lazy MCG structures below: no extraction phase
-	// reads them, so Build keeps them off the snapshot-rebuild critical
-	// path and the first ranking query pays the derivation once per graph.
-	mcgOnce sync.Once
-	// callers is the MCG edge list restricted to app methods, keyed and
-	// valued by qualified name (the form ranking consumes).
-	callers map[string][]string
-	// classDeps maps a class to the set of app classes it invokes.
-	classDeps map[string]map[string]struct{}
 
 	// methodsSorted memoizes Methods(): the sort is O(n log n) with a
 	// string comparator and three extraction passes used to pay it each.
@@ -81,47 +76,6 @@ func Build(r *apk.Release) *Graph {
 	return g
 }
 
-// mcg derives the app-internal MCG edges and the class dependency relation
-// from the call-site index, once, on first ranking-time use. Edge
-// multiplicity matches the eager construction (one edge per invocation
-// site), and every accessor sorts or counts, so the map-iteration build
-// order never reaches a caller.
-func (g *Graph) mcg() {
-	g.mcgOnce.Do(func() {
-		appClasses := make(map[string]struct{}, len(g.release.Classes))
-		for _, c := range g.release.Classes {
-			appClasses[c.Name] = struct{}{}
-		}
-		g.callers = make(map[string][]string)
-		g.classDeps = make(map[string]map[string]struct{})
-		// fromName interns each caller's qualified name: one concatenation
-		// per method with app-internal callees, not one per site.
-		fromName := make(map[*apk.Method]string)
-		for k, sites := range g.callSites {
-			if _, isApp := appClasses[k.class]; !isApp {
-				continue
-			}
-			callee := k.class + "." + k.method
-			for _, s := range sites {
-				from, ok := fromName[s.Method]
-				if !ok {
-					from = s.Method.QualifiedName()
-					fromName[s.Method] = from
-				}
-				g.callers[callee] = append(g.callers[callee], from)
-				if k.class != s.Method.Class {
-					deps, ok := g.classDeps[s.Method.Class]
-					if !ok {
-						deps = make(map[string]struct{})
-						g.classDeps[s.Method.Class] = deps
-					}
-					deps[k.class] = struct{}{}
-				}
-			}
-		}
-	})
-}
-
 // MethodRef returns the app method declared on class with the given name.
 func (g *Graph) MethodRef(class, name string) (*apk.Method, bool) {
 	m, ok := g.methods[ref{class, name}]
@@ -141,29 +95,6 @@ func (g *Graph) Methods() []*apk.Method {
 		g.methodsSorted = out
 	})
 	return g.methodsSorted
-}
-
-// AdoptMethodOrder installs a pre-sorted method list as the Methods()
-// memo, skipping the O(n log n) sort — for callers that already hold the
-// order, such as a persisted one. The list is validated cheaply (length and
-// strict qualified-name order); it must contain exactly the graph's
-// methods. Returns false (and adopts nothing) when validation fails or
-// Methods() already materialized.
-func (g *Graph) AdoptMethodOrder(ms []*apk.Method) bool {
-	if len(ms) != len(g.methods) {
-		return false
-	}
-	for i := 1; i < len(ms); i++ {
-		if !qualifiedLess(ms[i-1], ms[i]) {
-			return false
-		}
-	}
-	adopted := false
-	g.methodsOnce.Do(func() {
-		g.methodsSorted = ms
-		adopted = true
-	})
-	return adopted
 }
 
 // qualifiedLess orders methods exactly as comparing their QualifiedName
@@ -244,20 +175,50 @@ func (g *Graph) ClassesCalling(class, method string) []string {
 	return out
 }
 
-// Callers returns the app methods that call the given app method.
+// Callers returns the qualified names of the app methods that call the
+// given app method ("class.method"), one entry per invocation site, sorted.
 func (g *Graph) Callers(qualified string) []string {
-	g.mcg()
-	out := append([]string(nil), g.callers[qualified]...)
+	i := strings.LastIndexByte(qualified, '.')
+	if i < 0 {
+		return nil
+	}
+	class := qualified[:i]
+	if _, isApp := g.release.FindClass(class); !isApp {
+		return nil
+	}
+	sites := g.callSites[ref{class, qualified[i+1:]}]
+	if len(sites) == 0 {
+		return nil
+	}
+	out := make([]string, len(sites))
+	for j, s := range sites {
+		out[j] = s.Method.QualifiedName()
+	}
 	sort.Strings(out)
 	return out
 }
 
 // ClassDependencyCount returns how many distinct app classes the given
 // class invokes. Ranking uses it to break importance ties (§4.3): a class
-// built on many others more likely implements a core function.
+// built on many others more likely implements a core function. The count
+// reads the invoke statements of every class entry of that name.
 func (g *Graph) ClassDependencyCount(class string) int {
-	g.mcg()
-	return len(g.classDeps[class])
+	var buf [16]string
+	deps := buf[:0]
+	for _, c := range g.release.ClassesNamed(class) {
+		for _, m := range c.Methods {
+			for i := range m.Statements {
+				st := &m.Statements[i]
+				if st.Op != apk.OpInvoke || st.InvokeClass == class || slices.Contains(deps, st.InvokeClass) {
+					continue
+				}
+				if _, isApp := g.release.FindClass(st.InvokeClass); isApp {
+					deps = append(deps, st.InvokeClass)
+				}
+			}
+		}
+	}
+	return len(deps)
 }
 
 // BackwardStrings performs the backward taint walk of §3.3.2: starting from
@@ -400,22 +361,30 @@ type ExceptionSite struct {
 }
 
 // ExceptionSites lists every throw/catch in the app (§4.2.3 Step 1 for
-// developer-defined methods).
+// developer-defined methods), ordered by method qualified name, then
+// statement index. It walks the method index, which holds one method per
+// (class, name), and sorts only the sites it finds.
 func (g *Graph) ExceptionSites() []ExceptionSite {
 	var out []ExceptionSite
-	for _, m := range g.Methods() {
+	for _, m := range g.methods {
 		for i := range m.Statements {
 			st := &m.Statements[i]
-			switch st.Op {
-			case apk.OpThrow:
-				out = append(out, ExceptionSite{Exception: st.Exception,
-					Site: Site{Method: m, StmtIdx: i}})
-			case apk.OpCatch:
-				out = append(out, ExceptionSite{Exception: st.Exception, Caught: true,
+			if st.Op == apk.OpThrow || st.Op == apk.OpCatch {
+				out = append(out, ExceptionSite{Exception: st.Exception, Caught: st.Op == apk.OpCatch,
 					Site: Site{Method: m, StmtIdx: i}})
 			}
 		}
 	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Site, out[j].Site
+		if qualifiedLess(a.Method, b.Method) {
+			return true
+		}
+		if qualifiedLess(b.Method, a.Method) {
+			return false
+		}
+		return a.StmtIdx < b.StmtIdx
+	})
 	return out
 }
 

@@ -13,6 +13,7 @@ package apk
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -56,7 +57,7 @@ type Release struct {
 }
 
 // releaseIndex is the lazily-built lookup structure behind FindClass,
-// ClassNames and LayoutByID, and the home of the DiffReleases memo. A
+// ClassesNamed and LayoutByID, and the home of the DiffReleases memo. A
 // Release is mutated only while it is being assembled (Builder, synth
 // generator) and is read concurrently only after assembly settles, so the
 // index validates itself against the slice shape (length plus boundary
@@ -64,8 +65,12 @@ type Release struct {
 // Builder can express — appending classes, filtering one out, appending
 // layouts — changes at least one of those.
 type releaseIndex struct {
-	byName                  map[string]*Class
-	names                   []string // all class names, sorted (duplicates preserved)
+	// byName maps a class name to the position of its first entry in
+	// Classes.
+	byName map[string]int
+	// repeated lists every entry of a class name the release declares more
+	// than once, in declaration order; nil when every name is unique.
+	repeated                map[string][]*Class
 	layouts                 map[string]int
 	nClasses, nLayouts      int
 	firstClass, lastClass   *Class
@@ -80,21 +85,26 @@ func (r *Release) index() *releaseIndex {
 		return idx
 	}
 	idx = &releaseIndex{
-		byName:   make(map[string]*Class, len(r.Classes)),
+		byName:   make(map[string]int, len(r.Classes)),
 		layouts:  make(map[string]int, len(r.Layouts)),
 		nClasses: len(r.Classes),
 		nLayouts: len(r.Layouts),
 	}
-	names := make([]string, 0, len(r.Classes))
-	for _, c := range r.Classes {
+	for i, c := range r.Classes {
 		// First declaration wins, matching the old linear scan.
-		if _, dup := idx.byName[c.Name]; !dup {
-			idx.byName[c.Name] = c
+		first, dup := idx.byName[c.Name]
+		if !dup {
+			idx.byName[c.Name] = i
+			continue
 		}
-		names = append(names, c.Name)
+		if idx.repeated == nil {
+			idx.repeated = make(map[string][]*Class)
+		}
+		if idx.repeated[c.Name] == nil {
+			idx.repeated[c.Name] = []*Class{r.Classes[first]}
+		}
+		idx.repeated[c.Name] = append(idx.repeated[c.Name], c)
 	}
-	sort.Strings(names)
-	idx.names = names
 	for i, l := range r.Layouts {
 		if _, dup := idx.layouts[l.ID]; !dup {
 			idx.layouts[l.ID] = i
@@ -277,8 +287,26 @@ func (w *Widget) Walk(visit func(*Widget)) {
 // go through the lazily-built class index: O(1) after the first call
 // instead of a linear scan per query.
 func (r *Release) FindClass(name string) (*Class, bool) {
-	c, ok := r.index().byName[name]
-	return c, ok
+	i, ok := r.index().byName[name]
+	if !ok {
+		return nil, false
+	}
+	return r.Classes[i], true
+}
+
+// ClassesNamed returns every class entry declared under name, in
+// declaration order. A release may repeat a class name; FindClass returns
+// only the first entry. The returned slice is shared and must not be
+// modified.
+func (r *Release) ClassesNamed(name string) []*Class {
+	idx := r.index()
+	if all, ok := idx.repeated[name]; ok {
+		return all
+	}
+	if i, ok := idx.byName[name]; ok {
+		return r.Classes[i : i+1 : i+1]
+	}
+	return nil
 }
 
 // StartingActivity returns the activity declared with MAIN/LAUNCHER
@@ -373,19 +401,32 @@ func (a *App) SaveJSON(path string) error {
 	return nil
 }
 
-// LoadJSON reads an app from a JSON file written by SaveJSON. A release
-// history out of order fails with a *ReleaseOrderError: ReleaseBefore
-// would otherwise match reviews to the wrong release and predecessor.
+// ErrDecode reports app IR bytes that do not decode as a JSON app.
+var ErrDecode = errors.New("apk: malformed app JSON")
+
+// LoadJSON reads an app from a JSON file written by SaveJSON (see
+// DecodeJSON).
 func LoadJSON(path string) (*App, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("read app: %w", err)
 	}
+	return DecodeJSON(data)
+}
+
+// DecodeJSON decodes an app written by SaveJSON and rejects what no
+// snapshot could serve (Check): bytes that are not a JSON app fail with
+// ErrDecode; an app without a release, with a null release, class or
+// method, or with an undefined statement opcode fails with a *ShapeError;
+// and a release history out of order fails with a *ReleaseOrderError,
+// since ReleaseBefore would otherwise match reviews to the wrong release
+// and predecessor.
+func DecodeJSON(data []byte) (*App, error) {
 	var a App
 	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("decode app: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrDecode, err)
 	}
-	if err := a.CheckReleaseOrder(); err != nil {
+	if err := a.Check(); err != nil {
 		return nil, err
 	}
 	return &a, nil

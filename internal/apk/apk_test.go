@@ -2,8 +2,10 @@ package apk
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -146,6 +148,38 @@ func TestLoadJSONRejectsReversedReleases(t *testing.T) {
 	}
 }
 
+// TestLoadJSONRejectsUnservableShapes: IR JSON that extraction would
+// dereference through a nil pointer (a null release, class or method), a
+// statement opcode the binary codec refuses, an app without a release, and
+// bytes that are not a JSON app each fail with a typed error.
+func TestLoadJSONRejectsUnservableShapes(t *testing.T) {
+	const rel = `{"version":"1.0","versionCode":1,"releasedAt":"2020-01-01T00:00:00Z",`
+	for _, tc := range []struct {
+		name, json string
+		shape      bool
+	}{
+		{"null class", `{"package":"p","releases":[` + rel + `"classes":[null]}]}`, true},
+		{"null method", `{"package":"p","releases":[` + rel + `"classes":[{"name":"p.A","methods":[null]}]}]}`, true},
+		{"undefined opcode", `{"package":"p","releases":[` + rel + `"classes":[{"name":"p.A","methods":[{"name":"m","class":"p.A","statements":[{"op":260}]}]}]}]}`, true},
+		{"null release", `{"package":"p","releases":[null]}`, true},
+		{"no release", `{"package":"p","releases":[]}`, true},
+		{"not an app", `{"package":7}`, false},
+	} {
+		path := filepath.Join(t.TempDir(), "app.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadJSON(path)
+		var se *ShapeError
+		if tc.shape && !errors.As(err, &se) {
+			t.Errorf("%s: LoadJSON = %v, want a *ShapeError", tc.name, err)
+		}
+		if !tc.shape && !errors.Is(err, ErrDecode) {
+			t.Errorf("%s: LoadJSON = %v, want ErrDecode", tc.name, err)
+		}
+	}
+}
+
 func TestLoadJSONMissing(t *testing.T) {
 	if _, err := LoadJSON(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Error("expected error for missing file")
@@ -162,6 +196,25 @@ func TestStatementConstructors(t *testing.T) {
 	}
 	if got := Catch("E").Op.String(); got != "catch" {
 		t.Errorf("op string = %q", got)
+	}
+}
+
+// TestClassesNamed: every entry of a repeated class name, in declaration
+// order, while FindClass keeps returning the first.
+func TestClassesNamed(t *testing.T) {
+	a1, b, a2 := &Class{Name: "p.A"}, &Class{Name: "p.B"}, &Class{Name: "p.A"}
+	r := &Release{Classes: []*Class{a1, b, a2}}
+	if got := r.ClassesNamed("p.A"); len(got) != 2 || got[0] != a1 || got[1] != a2 {
+		t.Errorf("ClassesNamed(p.A) = %v, want both entries in order", got)
+	}
+	if got := r.ClassesNamed("p.B"); len(got) != 1 || got[0] != b {
+		t.Errorf("ClassesNamed(p.B) = %v", got)
+	}
+	if got := r.ClassesNamed("p.C"); got != nil {
+		t.Errorf("ClassesNamed(p.C) = %v, want nil", got)
+	}
+	if c, _ := r.FindClass("p.A"); c != a1 {
+		t.Error("FindClass no longer returns the first entry")
 	}
 }
 
@@ -200,7 +253,12 @@ func (b *Builder) RemoveClass(name string) *Builder {
 // ClassNames returns all class names, sorted. The sorted list is cached in
 // the release index; callers receive a private copy.
 func (r *Release) ClassNames() []string {
-	return append([]string(nil), r.index().names...)
+	names := make([]string, len(r.Classes))
+	for i, c := range r.Classes {
+		names[i] = c.Name
+	}
+	sort.Strings(names)
+	return names
 }
 
 func TestRemoveClass(t *testing.T) {

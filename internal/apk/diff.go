@@ -41,18 +41,21 @@ func DiffReleases(prev, next *Release) []string {
 	}
 	var classes []string
 	if prev == nil {
-		classes = x.names // every class is added
+		classes = make([]string, len(next.Classes)) // every class is added
+		for i, c := range next.Classes {
+			classes[i] = c.Name
+		}
 	} else {
 		byName := prev.index().byName
 		for _, c := range next.Classes {
-			pc, existed := byName[c.Name]
-			if !existed || classContentFingerprint(pc) != classContentFingerprint(c) {
+			i, existed := byName[c.Name]
+			if !existed || classContentFingerprint(prev.Classes[i]) != classContentFingerprint(c) {
 				classes = append(classes, c.Name)
 			}
 		}
-		sort.Strings(classes)
-		classes = slices.Clip(classes)
 	}
+	sort.Strings(classes)
+	classes = slices.Clip(classes)
 	x.diff.Store(&releaseDiff{prev: prev, classes: classes})
 	return classes
 }

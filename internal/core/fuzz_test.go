@@ -2,13 +2,18 @@ package core
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strconv"
 	"testing"
+	"time"
 
+	"reviewsolver/internal/apk"
 	"reviewsolver/internal/snapfile"
 	"reviewsolver/internal/synth"
 )
@@ -57,6 +62,119 @@ func FuzzLoadSnapshotBytes(f *testing.F) {
 			t.Fatal("NewWithSnapshot returned nil for a loaded snapshot")
 		}
 	})
+}
+
+// typedAppError reports whether an app IR rejection is one of the typed
+// errors apk.DecodeJSON and EncodeSnapshot document.
+func typedAppError(err error) bool {
+	var se *apk.ShapeError
+	var oe *apk.ReleaseOrderError
+	return errors.Is(err, apk.ErrDecode) || errors.As(err, &se) || errors.As(err, &oe)
+}
+
+// fuzzApp is a small valid app IR: two releases, a launcher activity with
+// a layout, an app-internal call, framework calls, a toast message and an
+// exception handler, so the fixed review reaches several localizers.
+func fuzzApp() *apk.App {
+	day := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
+	b := apk.NewBuilder("com.fuzz.mail", "FuzzMail")
+	b.Release("1.0", 1, day).
+		Permission("android.permission.INTERNET").
+		LauncherActivity("com.fuzz.mail.MainActivity", "main").
+		Layout("main", apk.Widget{Type: "LinearLayout", Children: []apk.Widget{
+			{Type: "Button", ID: "send_mail", Text: "@string/send"},
+		}}).
+		StringRes("send", "Send mail")
+	b.Class("com.fuzz.mail.MainActivity").
+		Method("onCreate", apk.Invoke("", "com.fuzz.mail.Mailer", "sendMail"))
+	b.Class("com.fuzz.mail.Mailer").
+		Method("sendMail", apk.Catch("SocketException"), apk.Invoke("", "java.net.Socket", "connect")).
+		Method("fetchMail", apk.ConstString("s", "Cannot fetch mail"),
+			apk.Invoke("", "android.widget.Toast", "makeText", "s"))
+	b.CopyRelease("1.1", 2, day.AddDate(0, 1, 0))
+	b.Class("com.fuzz.mail.Sync").
+		Method("syncAccount", apk.Invoke("", "com.fuzz.mail.Mailer", "fetchMail"))
+	return b.Build()
+}
+
+// appJSONSeeds are the FuzzAppJSON seeds: the valid fuzzApp, the shapes no
+// loader can serve (a null class, a null method, no release) and releases
+// out of time order.
+func appJSONSeeds(t testing.TB) [][]byte {
+	marshal := func(app *apk.App) []byte {
+		b, err := json.Marshal(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	valid := marshal(fuzzApp())
+	reversed := fuzzApp()
+	slices.Reverse(reversed.Releases)
+	const rel = `{"version":"1.0","versionCode":1,"releasedAt":"2020-01-01T00:00:00Z",`
+	return [][]byte{
+		valid,
+		[]byte(`{"package":"p","releases":[` + rel + `"classes":[null]}]}`),
+		[]byte(`{"package":"p","releases":[` + rel + `"classes":[{"name":"p.A","methods":[null]}]}]}`),
+		[]byte(`{"package":"p","releases":[]}`),
+		marshal(reversed),
+	}
+}
+
+// fuzzReview is the fixed review FuzzAppJSON localizes, published after
+// every release the seeds hold.
+const fuzzReview = "Cannot send mail, socket exception since the update. The send mail button does nothing."
+
+// FuzzAppJSON: arbitrary bytes decoded as an IR file (apk.DecodeJSON),
+// compiled (EncodeSnapshot) and loaded (LoadSnapshotBytes) never panic,
+// every rejection is typed, and when all three succeed the fixed review
+// localizes and ranks the same from the built and the loaded snapshot.
+func FuzzAppJSON(f *testing.F) {
+	for _, seed := range appJSONSeeds(f) {
+		f.Add(seed)
+	}
+	when := time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		app, err := apk.DecodeJSON(data)
+		if err != nil {
+			if !typedAppError(err) {
+				t.Fatalf("DecodeJSON returned an untyped error: %v", err)
+			}
+			return
+		}
+		sn := NewSnapshot()
+		img, err := EncodeSnapshot(sn, app)
+		if err != nil {
+			if !typedAppError(err) {
+				t.Fatalf("EncodeSnapshot returned an untyped error: %v", err)
+			}
+			return
+		}
+		loaded, lapp, err := LoadSnapshotBytes(img)
+		if err != nil {
+			if !typedLoadError(err) {
+				t.Fatalf("LoadSnapshotBytes returned an untyped error: %v", err)
+			}
+			return
+		}
+		want := NewWithSnapshot(sn).LocalizeReview(app, fuzzReview, when)
+		got := NewWithSnapshot(loaded).LocalizeReview(lapp, fuzzReview, when)
+		if !reflect.DeepEqual(got.Mappings, want.Mappings) {
+			t.Fatalf("loaded mappings %v, built %v", got.Mappings, want.Mappings)
+		}
+		if !reflect.DeepEqual(got.Ranked, want.Ranked) {
+			t.Fatalf("loaded ranking %v, built %v", got.Ranked, want.Ranked)
+		}
+	})
+}
+
+// TestFuzzAppSeedLocalizes: the valid seed exercises the comparison
+// FuzzAppJSON makes — the fixed review maps and ranks classes.
+func TestFuzzAppSeedLocalizes(t *testing.T) {
+	res := New().LocalizeReview(fuzzApp(), fuzzReview, time.Date(2100, 1, 1, 0, 0, 0, 0, time.UTC))
+	if len(res.Ranked) == 0 {
+		t.Fatal("the fixed review ranks no class of the seed app")
+	}
 }
 
 // loadFuzzSeedVariants mutates a valid snapshot image toward the loader's

@@ -144,7 +144,7 @@ func (o cosineOracle) apiURIIntent(_ *Solver, _ emitter, in localizeInput) []Map
 				}
 			}
 			if !matched && isCollect && hasObject && api.Permission != "" {
-				if nouns := permissionNouns(s, api.Permission); len(nouns) > 0 {
+				if nouns := permissionNouns(s.catalog, api.Permission); len(nouns) > 0 {
 					matched = o.similar(vp.Object, nouns)
 				}
 			}

@@ -41,41 +41,39 @@ func RankClasses(mappings []Mapping, g *apg.Graph, n int) []RankedClass {
 // blames code the update touched), with the standard importance,
 // dependency and name ordering applied within each group.
 func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed []string) []RankedClass {
-	type acc struct {
-		phrases  map[string]struct{}
-		contexts map[string]struct{}
-		methods  map[string]struct{}
-	}
-	byClass := make(map[string]*acc)
-	for _, m := range mappings {
-		a, ok := byClass[m.Class]
+	// One accumulator per candidate class, in first-mapping order. A
+	// class's distinct phrases, contexts and methods are few, so linear
+	// search dedups them without a map per class; the sort below is a total
+	// order, so the accumulation order never reaches the output.
+	type acc struct{ phrases, contexts, methods []string }
+	pos := make(map[string]int)
+	var out []RankedClass
+	var accs []acc
+	for i := range mappings {
+		m := &mappings[i]
+		p, ok := pos[m.Class]
 		if !ok {
-			a = &acc{
-				phrases:  make(map[string]struct{}),
-				contexts: make(map[string]struct{}),
-				methods:  make(map[string]struct{}),
-			}
-			byClass[m.Class] = a
+			p = len(out)
+			pos[m.Class] = p
+			out = append(out, RankedClass{Class: m.Class})
+			accs = append(accs, acc{})
 		}
-		a.phrases[m.Phrase] = struct{}{}
-		a.contexts[m.Context.String()] = struct{}{}
+		a := &accs[p]
+		a.phrases = appendNew(a.phrases, m.Phrase)
+		a.contexts = appendNew(a.contexts, m.Context.String())
 		if m.Method != "" {
-			a.methods[m.Method] = struct{}{}
+			a.methods = appendNew(a.methods, m.Method)
 		}
 	}
-	out := make([]RankedClass, 0, len(byClass))
-	for cls, a := range byClass {
-		rc := RankedClass{
-			Class:      cls,
-			Importance: len(a.phrases),
-			Contexts:   sortedKeys(a.contexts),
-			Methods:    sortedKeys(a.methods),
-		}
+	for p := range out {
+		rc, a := &out[p], &accs[p]
+		rc.Importance = len(a.phrases)
+		rc.Contexts = sortedSet(a.contexts)
+		rc.Methods = sortedSet(a.methods)
 		if g != nil {
-			rc.Dependencies = g.ClassDependencyCount(cls)
+			rc.Dependencies = g.ClassDependencyCount(rc.Class)
 		}
-		_, rc.Changed = slices.BinarySearch(changed, cls)
-		out = append(out, rc)
+		_, rc.Changed = slices.BinarySearch(changed, rc.Class)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Changed != out[j].Changed {
@@ -93,4 +91,22 @@ func rankClasses(mappings []Mapping, g *apg.Graph, n int, changed []string) []Ra
 		out = out[:n]
 	}
 	return out
+}
+
+// appendNew appends s to set unless set already holds it.
+func appendNew(set []string, s string) []string {
+	if slices.Contains(set, s) {
+		return set
+	}
+	return append(set, s)
+}
+
+// sortedSet sorts set in place. An empty set is an empty, non-nil slice,
+// so a ranked class without methods serves "methods": [] as it always has.
+func sortedSet(set []string) []string {
+	if set == nil {
+		return []string{}
+	}
+	sort.Strings(set)
+	return set
 }

@@ -1,20 +1,25 @@
 // Snapshot serialization: the encode half of the .snap save/load path.
 //
-// A .snap file is a snapfile container holding everything a serving process
-// needs to answer queries for one app without re-running the §3.3 static
-// extraction or re-embedding the framework catalog:
+// A .snap file is a snapfile container holding the per-app state a serving
+// process needs to answer queries for one app without re-running the §3.3
+// static extraction:
 //
-//	META      fingerprints (format constants, catalog and interner CRCs)
+//	META      fingerprints: format constants, the catalog fingerprint, the
+//	          interner CRC and the catalog table's CRC
 //	APP_IR    the app IR in the compact apk binary codec
-//	INTERNER  the textproc.Interner symbol table (words + flags)
-//	CAT_*     the full-catalog phrase table: per-entry metadata plus the
-//	          flattened scan matrix with its prescreen sketch
 //	per release r (sections relSecBase + r*relSecStride + …):
 //	  REL_META  the extracted inventories (APIs, URIs, intents, messages,
 //	            method phrases, GUIs) as offset-indexed string records
 //	  REL_VECS  every loose phrase vector, one contiguous float block
 //	  REL_M*    the method-phrase matrix (data / sketch projections / residuals)
 //	  REL_I*    the invisible-label matrix (same three blocks)
+//
+// Process-wide constants stay out of the image: the interner's symbol
+// table and the framework-catalog table Algorithm 1 scans are the same for
+// every app, so META records only their checksums, and the loader checks
+// them against the process's own values (computed once) and serves the
+// process's one catalog table. Version 2 images carried both tables in
+// sections 3–8; those IDs are retired.
 //
 // Float blocks are written as raw little-endian float64 rows, 8-byte aligned
 // by the container, so the loader reinterprets them in place (zero copy).
@@ -40,14 +45,8 @@ import (
 
 // Section IDs of the snapshot container.
 const (
-	secMeta     = 1
-	secAppIR    = 2
-	secInterner = 3
-	secCatMeta  = 4
-	secCatData  = 5
-	secCatProj  = 6
-	secCatRes   = 7
-	secCatPerm  = 8
+	secMeta  = 1
+	secAppIR = 2
 
 	// Per-release sections live at relSecBase + releaseIndex*relSecStride
 	// plus one of the rel* offsets.
@@ -68,80 +67,42 @@ func relSection(release, which int) uint32 {
 	return uint32(relSecBase + release*relSecStride + which)
 }
 
-// internerPayload encodes the process interner's symbol table once; its
-// checksum doubles as the vocabulary fingerprint in META.
-var (
-	internerPayloadOnce sync.Once
-	internerPayloadVal  []byte
-)
+// internerCRC is the process vocabulary fingerprint: the checksum of the
+// interner's symbol table (words and flags) in the snapfile encoding,
+// computed once.
+var internerCRC = sync.OnceValue(func() uint32 {
+	words, flags := defaultInterner().Export()
+	e := snapfile.NewEnc(1 << 20)
+	e.U32(uint32(len(words)))
+	for i := range words {
+		e.Str(words[i])
+		e.U16(flags[i])
+	}
+	return snapfile.Checksum(e.Bytes())
+})
 
-func internerPayload() []byte {
-	internerPayloadOnce.Do(func() {
-		words, flags := defaultInterner().Export()
-		e := snapfile.NewEnc(1 << 20)
-		e.U32(uint32(len(words)))
-		for i := range words {
-			e.Str(words[i])
-			e.U16(flags[i])
-		}
-		internerPayloadVal = e.Bytes()
-	})
-	return internerPayloadVal
-}
-
-// internerCRC is the process vocabulary fingerprint — the checksum of
-// internerPayload, computed once so loads compare CRCs instead of rehashing
-// the symbol table.
-var (
-	internerCRCOnce sync.Once
-	internerCRCVal  uint32
-)
-
-func internerCRC() uint32 {
-	internerCRCOnce.Do(func() { internerCRCVal = snapfile.Checksum(internerPayload()) })
-	return internerCRCVal
-}
-
-// catalogFingerprint checksums the identity-bearing fields of every catalog
-// API in order. A snapshot written against a different catalog (count or
-// content) is rejected at load.
-func catalogFingerprint(c *sdk.Catalog) uint32 {
+// catalogFingerprint checksums the identity-bearing fields of every API of
+// the catalog New installs, in order, computed once. A snapshot written
+// against a different catalog (count or content) is rejected at load.
+var catalogFingerprint = sync.OnceValue(func() uint32 {
 	e := snapfile.NewEnc(1 << 15)
-	for _, api := range c.APIs() {
+	for _, api := range sdk.NewCatalog().APIs() {
 		e.Str(api.Signature())
 		e.Str(api.Description)
 		e.Str(api.Permission)
 		e.StrSlice(api.Exceptions)
 	}
 	return snapfile.Checksum(e.Bytes())
-}
-
-// cachedCatalogFingerprint memoizes catalogFingerprint for the last catalog
-// seen. The catalog is a process-wide constant in practice, so both encode
-// and every load hit the cache after the first call.
-var catCRCCache struct {
-	sync.Mutex
-	c   *sdk.Catalog
-	crc uint32
-}
-
-func cachedCatalogFingerprint(c *sdk.Catalog) uint32 {
-	catCRCCache.Lock()
-	defer catCRCCache.Unlock()
-	if catCRCCache.c != c {
-		catCRCCache.crc = catalogFingerprint(c)
-		catCRCCache.c = c
-	}
-	return catCRCCache.crc
-}
+})
 
 // EncodeSnapshot serializes a snapshot plus the app IR it was computed from
 // into a .snap image. Releases not yet extracted are precomputed first, so
-// callers can pass a fresh NewSnapshot. An app whose releases are out of
-// time order returns apk.CheckReleaseOrder's *apk.ReleaseOrderError: the
-// loader rejects such an image, so it could never serve.
+// callers can pass a fresh NewSnapshot. An app that no loader could serve
+// returns apk.App.Check's error: an *apk.ShapeError for an app without a
+// release or with a null release, class or method, an *apk.ReleaseOrderError
+// for releases out of time order.
 func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
-	if err := app.CheckReleaseOrder(); err != nil {
+	if err := app.Check(); err != nil {
 		return nil, err
 	}
 	sn.PrecomputeApp(app)
@@ -156,50 +117,21 @@ func EncodeSnapshot(sn *Snapshot, app *apk.App) ([]byte, error) {
 	meta.U32(uint32(wordvec.BasisSize()))
 	meta.F64(wordvec.DefaultThreshold)
 	meta.U32(uint32(len(s.catalog.APIs())))
-	meta.U32(cachedCatalogFingerprint(s.catalog))
+	meta.U32(catalogFingerprint())
 	meta.U32(internerCRC())
+	meta.U32(s.catalogVecs().checksum())
 	w.Add(secMeta, meta.Bytes())
 
 	ir := snapfile.NewEnc(1 << 17)
 	app.AppendBinary(ir)
 	w.Add(secAppIR, ir.Bytes())
 
-	w.Add(secInterner, internerPayload())
-
-	encodeCatalog(w, sn.catalogVecs)
 	for ri, r := range app.Releases {
 		if err := encodeRelease(w, ri, sn.StaticFor(r)); err != nil {
 			return nil, fmt.Errorf("release %s: %w", r.Version, err)
 		}
 	}
 	return w.Bytes(), nil
-}
-
-func encodeCatalog(w *snapfile.Writer, t *catalogTable) {
-	meta := snapfile.NewEnc(1 << 14)
-	meta.U32(uint32(len(t.entries)))
-	nouns := 0
-	for i := range t.entries {
-		nouns += len(t.entries[i].permNouns)
-	}
-	meta.U32(uint32(nouns))
-	perm := snapfile.NewEnc(1 << 14)
-	for i := range t.entries {
-		e := &t.entries[i]
-		meta.U32(uint32(t.rowStart[i+1] - t.rowStart[i]))
-		meta.StrSlice(e.permNouns)
-		if len(e.permNouns) > 0 {
-			for _, f := range e.permVec {
-				perm.F64(f)
-			}
-		}
-	}
-	w.Add(secCatMeta, meta.Bytes())
-	proj, res := t.matrix.Sketch()
-	w.Add(secCatData, snapfile.Float64Bytes(t.matrix.Data()))
-	w.Add(secCatProj, snapfile.Float64Bytes(proj))
-	w.Add(secCatRes, snapfile.Float64Bytes(res))
-	w.Add(secCatPerm, perm.Bytes())
 }
 
 func encodeRelease(w *snapfile.Writer, ri int, info *StaticInfo) error {

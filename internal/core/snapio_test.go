@@ -12,6 +12,7 @@ import (
 	"reviewsolver/internal/apk"
 	"reviewsolver/internal/snapfile"
 	"reviewsolver/internal/synth"
+	"reviewsolver/internal/wordvec"
 )
 
 // buildImage encodes one seeded app's snapshot.
@@ -230,8 +231,19 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("vocabulary fingerprint mismatch", func(t *testing.T) {
-		bad := rewriteSection(t, img, secInterner, func(p []byte) {
-			p[len(p)-1] ^= 0xff
+		bad := rewriteSection(t, img, secMeta, func(p []byte) {
+			off := 4 + binary.LittleEndian.Uint32(p) + 4 + 4 + 4 + 8 + 4 + 4
+			p[off] ^= 0xff
+		})
+		_, _, err := LoadSnapshotBytes(bad)
+		if !errors.Is(err, ErrSnapshotIncompatible) {
+			t.Fatalf("err = %v, want ErrSnapshotIncompatible", err)
+		}
+	})
+	t.Run("catalog table checksum mismatch", func(t *testing.T) {
+		bad := rewriteSection(t, img, secMeta, func(p []byte) {
+			off := 4 + binary.LittleEndian.Uint32(p) + 4 + 4 + 4 + 8 + 4 + 4 + 4
+			p[off] ^= 0xff
 		})
 		_, _, err := LoadSnapshotBytes(bad)
 		if !errors.Is(err, ErrSnapshotIncompatible) {
@@ -273,13 +285,15 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("missing section", func(t *testing.T) {
-		// Relabel the catalog-data section so the expected ID is absent.
+		// Relabel the last release's method matrix so the expected ID is
+		// absent.
 		bad := append([]byte(nil), img...)
 		le := binary.LittleEndian
 		count := int(le.Uint32(bad[12:]))
+		missing := relSection(len(data.App.Releases)-1, relMData)
 		for i := 0; i < count; i++ {
 			e := bad[32+32*i:]
-			if le.Uint32(e[0:]) == secCatData {
+			if le.Uint32(e[0:]) == missing {
 				le.PutUint32(e[0:], 0xdead)
 				break
 			}
@@ -291,26 +305,62 @@ func TestLoadSnapshotTypedErrors(t *testing.T) {
 	})
 }
 
-// TestLoadSnapshotRejectsVersion1: format version 2 retired the quantized
-// tier and delta-image sections, so every version 1 image — a plain full
-// image as much as one carrying the retired section IDs — fails with the
-// typed snapfile.ErrVersion.
-func TestLoadSnapshotRejectsVersion1(t *testing.T) {
+// TestLoadSnapshotRejectsOlderVersions: every older image fails with the
+// typed snapfile.ErrVersion. Version 2 retired the quantized tier and
+// delta-image sections of version 1; version 3 retired the interner and
+// catalog-table sections (3–8) every version 2 image carried. A full image
+// and a container holding only retired section IDs are both rejected at
+// every older version.
+func TestLoadSnapshotRejectsOlderVersions(t *testing.T) {
 	_, _, img := buildImage(t, 3)
-	// A container holding the retired catalog quant-tier pair (9, 10) and
-	// the delta binding (11).
+	// The retired catalog quant-tier pair (9, 10), the delta binding (11),
+	// the interner table (3) and the catalog table (4–8).
 	w := snapfile.NewWriter()
-	for _, id := range []uint32{secMeta, 9, 10, 11} {
+	for _, id := range []uint32{secMeta, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
 		w.Add(id, []byte{0, 0, 0, 0})
 	}
-	for _, tc := range []struct {
-		name string
-		img  []byte
-	}{{"full image", img}, {"retired sections", w.Bytes()}} {
-		v1 := append([]byte(nil), tc.img...)
-		binary.LittleEndian.PutUint32(v1[8:], 1)
-		if _, _, err := LoadSnapshotBytes(v1); !errors.Is(err, snapfile.ErrVersion) {
-			t.Fatalf("%s at version 1: err = %v, want ErrVersion", tc.name, err)
+	for v := uint32(1); v < snapfile.Version; v++ {
+		for _, tc := range []struct {
+			name string
+			img  []byte
+		}{{"full image", img}, {"retired sections", w.Bytes()}} {
+			old := append([]byte(nil), tc.img...)
+			binary.LittleEndian.PutUint32(old[8:], v)
+			if _, _, err := LoadSnapshotBytes(old); !errors.Is(err, snapfile.ErrVersion) {
+				t.Fatalf("%s at version %d: err = %v, want ErrVersion", tc.name, v, err)
+			}
 		}
+	}
+}
+
+// TestLoadSnapshotRejectsReleaseless: an image whose IR has no release
+// (META declaring none to match) cannot serve a review, so it is corrupt.
+// EncodeSnapshot refuses to write one, so the IR is written by hand.
+func TestLoadSnapshotRejectsReleaseless(t *testing.T) {
+	app := &apk.App{Package: "p.empty"}
+	_, err := EncodeSnapshot(NewSnapshot(), app)
+	var se *apk.ShapeError
+	if !errors.As(err, &se) {
+		t.Fatalf("EncodeSnapshot = %v, want a *apk.ShapeError", err)
+	}
+	meta := snapfile.NewEnc(0)
+	meta.Str(app.Package)
+	meta.U32(0)
+	meta.U32(uint32(wordvec.Dim))
+	meta.U32(uint32(wordvec.BasisSize()))
+	meta.F64(wordvec.DefaultThreshold)
+	s := New()
+	meta.U32(uint32(len(s.catalog.APIs())))
+	meta.U32(catalogFingerprint())
+	meta.U32(internerCRC())
+	meta.U32(s.catalogVecs().checksum())
+	ir := snapfile.NewEnc(0)
+	app.AppendBinary(ir)
+	w := snapfile.NewWriter()
+	w.Add(secMeta, meta.Bytes())
+	w.Add(secAppIR, ir.Bytes())
+	_, _, err = LoadSnapshotBytes(w.Bytes())
+	if !errors.Is(err, snapfile.ErrCorrupt) || !errors.As(err, &se) {
+		t.Fatalf("err = %v, want ErrCorrupt wrapping a *apk.ShapeError", err)
 	}
 }

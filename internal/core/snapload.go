@@ -9,6 +9,8 @@
 // never copied row by row. The solver components (catalog, embedding model,
 // tagger, Q&A index) come from a process-wide template built once by
 // loadTemplate; each load takes a struct copy, exactly like NewWithSnapshot.
+// The framework-catalog table is the process's default-model table, which
+// the image names only by checksum.
 //
 // Localization served from a loaded snapshot is byte-identical to the
 // in-memory NewSnapshot path — property-tested across seeds and worker
@@ -94,6 +96,7 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	catCount := md.U32()
 	catCRC := md.U32()
 	internCRC := md.U32()
+	tableCRC := md.U32()
 	if err := md.Done(); err != nil {
 		return nil, nil, err
 	}
@@ -101,19 +104,15 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 		return nil, nil, fmt.Errorf("%w: dim %d / basis %d / threshold %v, build has %d / %d / %v",
 			ErrSnapshotIncompatible, dim, basis, threshold, wordvec.Dim, wordvec.BasisSize(), wordvec.DefaultThreshold)
 	}
-	if int(catCount) != len(s.catalog.APIs()) || catCRC != cachedCatalogFingerprint(s.catalog) {
+	if int(catCount) != len(s.catalog.APIs()) || catCRC != catalogFingerprint() {
 		return nil, nil, fmt.Errorf("%w: catalog fingerprint mismatch", ErrSnapshotIncompatible)
 	}
-	// Open already verified the interner section's payload against its table
-	// checksum, so comparing that checksum to the process vocabulary CRC
-	// (computed once) proves the file's symbol table matches this build
-	// without rehashing it on every load.
-	tableCRC, ok := r.SectionChecksum(secInterner)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: missing section %#x", snapfile.ErrCorrupt, uint32(secInterner))
-	}
-	if tableCRC != internCRC || tableCRC != internerCRC() {
+	if internCRC != internerCRC() {
 		return nil, nil, fmt.Errorf("%w: vocabulary fingerprint mismatch", ErrSnapshotIncompatible)
+	}
+	table := s.catalogVecs()
+	if tableCRC != table.checksum() {
+		return nil, nil, fmt.Errorf("%w: catalog table checksum mismatch", ErrSnapshotIncompatible)
 	}
 
 	irPayload, err := r.MustSection(secAppIR)
@@ -128,21 +127,14 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 		return nil, nil, fmt.Errorf("%w: META declares %d releases, IR has %d",
 			snapfile.ErrCorrupt, releaseCount, len(app.Releases))
 	}
-	// ReleaseBefore assumes time order; an image that breaks it would
-	// match reviews to the wrong release, so it is corrupt.
-	if err := app.CheckReleaseOrder(); err != nil {
+	// An image no encoder would write (no release, releases out of time
+	// order) cannot serve: ReleaseBefore would find no release or match
+	// reviews to the wrong one. So it is corrupt.
+	if err := app.Check(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", snapfile.ErrCorrupt, err)
 	}
 
-	table, err := loadCatalogTable(r, &s)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	sn := &Snapshot{
-		catalogVecs: table,
-		static:      make(map[*apk.Release]*staticEntry, len(app.Releases)),
-	}
+	sn := &Snapshot{static: make(map[*apk.Release]*staticEntry, len(app.Releases))}
 	// Releases are independent — each reads only its own sections of the
 	// immutable Reader and builds its own StaticInfo — so they reconstruct
 	// in parallel. Errors are collected per slot to keep reporting
@@ -175,82 +167,9 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 	}
 
 	s.staticCache = nil
-	s.catalogVecCache = nil
 	s.snap = sn
 	sn.solver = &s
 	return sn, app, nil
-}
-
-// loadCatalogTable stitches the catalog scan table back together: matrix,
-// sketch and permission vectors are zero-copy views of the file image.
-func loadCatalogTable(r *snapfile.Reader, s *Solver) (*catalogTable, error) {
-	data, proj, res, err := matrixParts(r, secCatData, secCatProj, secCatRes)
-	if err != nil {
-		return nil, err
-	}
-	matrix, err := wordvec.MatrixFromParts(data, proj, res)
-	if err != nil {
-		return nil, fmt.Errorf("%w: catalog matrix: %v", snapfile.ErrCorrupt, err)
-	}
-
-	metaPayload, err := r.MustSection(secCatMeta)
-	if err != nil {
-		return nil, err
-	}
-	permPayload, err := r.MustSection(secCatPerm)
-	if err != nil {
-		return nil, err
-	}
-	permView, err := snapfile.Float64View(permPayload)
-	if err != nil {
-		return nil, err
-	}
-	permVecs, err := wordvec.RowVectors(permView)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", snapfile.ErrCorrupt, err)
-	}
-
-	d := snapfile.NewDecZeroCopy(metaPayload)
-	count := d.Count(4)
-	apis := s.catalog.APIs()
-	if count != len(apis) && d.Err() == nil {
-		return nil, fmt.Errorf("%w: %d catalog entries, build has %d", ErrSnapshotIncompatible, count, len(apis))
-	}
-	arena := snapfile.NewStrArena(d.Count(4), 0)
-	t := &catalogTable{
-		entries:  make([]catalogAPI, 0, count),
-		matrix:   matrix,
-		rowStart: make([]int32, 1, count+1),
-	}
-	row, permUsed := 0, 0
-	for i := 0; i < count && d.Err() == nil; i++ {
-		vecCount := int(d.U32())
-		entry := catalogAPI{api: apis[i], permNouns: d.StrSliceIn(arena)}
-		if d.Err() != nil {
-			break
-		}
-		if row+vecCount > matrix.Rows() {
-			return nil, fmt.Errorf("%w: catalog rows overflow at entry %d", snapfile.ErrCorrupt, i)
-		}
-		row += vecCount
-		if len(entry.permNouns) > 0 {
-			if permUsed >= len(permVecs) {
-				return nil, fmt.Errorf("%w: catalog permission vectors underflow", snapfile.ErrCorrupt)
-			}
-			entry.permVec = permVecs[permUsed]
-			permUsed++
-		}
-		t.entries = append(t.entries, entry)
-		t.rowStart = append(t.rowStart, int32(row))
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	if row != matrix.Rows() || permUsed != len(permVecs) || !arena.Drained() {
-		return nil, fmt.Errorf("%w: catalog table consumed %d/%d rows, %d/%d permission vectors",
-			snapfile.ErrCorrupt, row, matrix.Rows(), permUsed, len(permVecs))
-	}
-	return t, nil
 }
 
 // matrixParts reads one matrix's three float sections as zero-copy views.

@@ -8,37 +8,32 @@ import (
 )
 
 // Snapshot is the immutable, concurrency-safe precomputed matching state of
-// ReviewSolver: the full framework-catalog phrase embeddings (the dominant
-// Algorithm 1 cost), the SDK lookups, and the per-release §3.3 static
-// extraction — including GUI/widget label vectors and Code2vec
-// method-summary vectors, which are embedded at extraction time rather than
-// re-embedded on every query.
+// ReviewSolver for one app: the per-release §3.3 static extraction —
+// including GUI/widget label vectors and Code2vec method-summary vectors,
+// which are embedded at extraction time rather than re-embedded on every
+// query. The full framework-catalog phrase table (the dominant Algorithm 1
+// cost) is not per app: every snapshot of the default word model shares the
+// process's one table (defaultCatalogTable).
 //
 // A Snapshot is computed once and then shared by reference across any
 // number of solvers (see NewWithSnapshot) and pool workers (see Pool). Its
 // immutability contract:
 //
-//   - the catalog phrase-vector table is built eagerly at construction and
-//     never written again;
 //   - per-release StaticInfo values are built exactly once (a duplicate
 //     request for a release in flight blocks until the first extraction
 //     finishes) and are read-only afterwards;
-//   - the underlying components (catalog, embedding model, Q&A index,
+//   - the underlying components (catalog table, embedding model, Q&A index,
 //     classifier, summarizer) are read-only at query time — the embedding
 //     model's internal memo cache is lock-guarded and deterministic.
 //
-// Memory model: one snapshot costs one catalog embedding table plus one
-// StaticInfo per distinct release, independent of the worker count — an
-// N-worker pool no longer pays N× the warm-up or N× the memory.
+// Memory model: one snapshot costs one StaticInfo per distinct release,
+// independent of the worker count — an N-worker pool no longer pays N× the
+// warm-up or N× the memory.
 type Snapshot struct {
 	// solver is the frozen template whose components every snapshot-backed
 	// solver shares. Its private caches are retired (nil) so that all reads
 	// route back through the snapshot.
 	solver *Solver
-
-	// catalogVecs is the eagerly built full-catalog phrase table: per-API
-	// entries plus the flattened scan matrix with its prescreen sketch.
-	catalogVecs *catalogTable
 
 	mu     sync.Mutex
 	static map[*apk.Release]*staticEntry
@@ -50,19 +45,15 @@ type staticEntry struct {
 	info *StaticInfo
 }
 
-// NewSnapshot builds a snapshot from the same options New accepts,
-// precomputing the catalog phrase embeddings eagerly. Use Precompute /
-// PrecomputeApp to also pay the per-release extraction cost up front.
+// NewSnapshot builds a snapshot from the same options New accepts. Use
+// Precompute / PrecomputeApp to pay the per-release extraction cost up
+// front.
 func NewSnapshot(opts ...Option) *Snapshot {
 	s := New(opts...)
-	sn := &Snapshot{
-		catalogVecs: s.buildCatalogVecs(),
-		static:      make(map[*apk.Release]*staticEntry),
-	}
-	// Retire the template's private caches; every read now routes through
+	sn := &Snapshot{static: make(map[*apk.Release]*staticEntry)}
+	// Retire the template's private cache; every read now routes through
 	// the snapshot, and the template is never mutated again.
 	s.staticCache = nil
-	s.catalogVecCache = nil
 	s.snap = sn
 	sn.solver = s
 	return sn
@@ -132,6 +123,6 @@ func (sn *Snapshot) PrecomputeApp(app *apk.App) {
 	sn.Precompute(app.Releases...)
 }
 
-// CatalogSize returns the number of framework APIs whose phrase embeddings
-// the snapshot precomputed.
-func (sn *Snapshot) CatalogSize() int { return len(sn.catalogVecs.entries) }
+// CatalogSize returns the number of framework APIs in the catalog table
+// the snapshot's solvers scan.
+func (sn *Snapshot) CatalogSize() int { return len(sn.solver.catalogVecs().entries) }

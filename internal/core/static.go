@@ -308,7 +308,7 @@ func (info *StaticInfo) extractURIs(s *Solver, g *apg.Graph) {
 	sortStrings(keys)
 	for _, k := range keys {
 		a := uses[k]
-		nouns := permissionNouns(s, a.uri.Permission)
+		nouns := permissionNouns(s.catalog, a.uri.Permission)
 		info.URIs = append(info.URIs, URIUse{
 			URI:     a.uri,
 			Nouns:   nouns,
@@ -333,8 +333,8 @@ var permissionFormulaWords = map[string]struct{}{
 // ("Allows an application to read the user's call log." → call, log). The
 // descriptions are formulaic, so a boilerplate skiplist beats POS tagging
 // here (possessives like "user's" defeat the tagger's noun detection).
-func permissionNouns(s *Solver, permission string) []string {
-	desc, ok := s.catalog.PermissionDescription(permission)
+func permissionNouns(catalog *sdk.Catalog, permission string) []string {
+	desc, ok := catalog.PermissionDescription(permission)
 	if !ok {
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -453,33 +454,36 @@ func TestSlowLoadAbandonedGoesColdNotQuarantined(t *testing.T) {
 	}
 }
 
-// TestVersion1ImageQuarantines: an image written by a format version 1
-// build fails its load with the typed snapfile.ErrVersion and quarantines
+// TestOlderVersionImageQuarantines: an image written by any older format
+// version fails its load with the typed snapfile.ErrVersion and quarantines
 // like any other failed load; registering the recompiled image in its
 // place serves, charged at its image length.
-func TestVersion1ImageQuarantines(t *testing.T) {
+func TestOlderVersionImageQuarantines(t *testing.T) {
 	_, img := sampleImage(t)
-	v1 := append([]byte(nil), img...)
-	binary.LittleEndian.PutUint32(v1[8:], 1)
 	met := obs.NewRegistry()
 	r := NewRegistry(RegistryConfig{Metrics: met})
-	registerImage(t, r, "app.old", "v1", v1)
+	for v := uint32(1); v < snapfile.Version; v++ {
+		app := fmt.Sprintf("app.v%d", v)
+		old := append([]byte(nil), img...)
+		binary.LittleEndian.PutUint32(old[8:], v)
+		registerImage(t, r, app, "v1", old)
 
-	_, err := r.Acquire(context.Background(), "app.old", "")
-	if !errors.Is(err, ErrSnapshotLoad) || !errors.Is(err, snapfile.ErrVersion) {
-		t.Fatalf("v1 acquire = %v, want ErrSnapshotLoad wrapping snapfile.ErrVersion", err)
-	}
-	if got := met.Counter(metricQuarantined).Value(); got != 1 {
-		t.Fatalf("quarantined_total = %d, want 1", got)
-	}
-	for _, st := range r.Apps() {
-		if st.App == "app.old" && st.State != "quarantined" {
-			t.Fatalf("v1 app state = %s, want quarantined", st.State)
+		_, err := r.Acquire(context.Background(), app, "")
+		if !errors.Is(err, ErrSnapshotLoad) || !errors.Is(err, snapfile.ErrVersion) {
+			t.Fatalf("version %d acquire = %v, want ErrSnapshotLoad wrapping snapfile.ErrVersion", v, err)
+		}
+		if got := met.Counter(metricQuarantined).Value(); got != int64(v) {
+			t.Fatalf("quarantined_total = %d, want %d", got, v)
+		}
+		for _, st := range r.Apps() {
+			if st.App == app && st.State != "quarantined" {
+				t.Fatalf("version %d app state = %s, want quarantined", v, st.State)
+			}
 		}
 	}
 
-	registerImage(t, r, "app.old", "v1", img)
-	l, err := r.Acquire(context.Background(), "app.old", "")
+	registerImage(t, r, "app.v1", "v1", img)
+	l, err := r.Acquire(context.Background(), "app.v1", "")
 	if err != nil {
 		t.Fatalf("recompiled image: %v", err)
 	}

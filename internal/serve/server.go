@@ -33,6 +33,10 @@ const (
 // shedRetryAfter is the client backoff hint attached to 429 responses.
 const shedRetryAfter = time.Second
 
+// traceCapacity bounds the sampled explain traces retained for
+// /v1/trace/<id>; the oldest is evicted past it.
+const traceCapacity = 256
+
 // Config configures a Daemon. Zero values get serving defaults.
 type Config struct {
 	// QueueDepth is the per-app admission bound: how many requests may
@@ -68,8 +72,6 @@ type Config struct {
 	TraceSampleEvery int
 	// TraceSeed seeds the deterministic trace-ID sequence. Default 1.
 	TraceSeed int64
-	// TraceCapacity bounds the retained sampled traces. Default 256.
-	TraceCapacity int
 	// JournalCapacity enables the registry lifecycle event journal
 	// (/v1/events) with a ring of that many records. 0 disables it.
 	JournalCapacity int
@@ -158,7 +160,7 @@ func NewDaemon(cfg Config) *Daemon {
 			seed = 1
 		}
 		d.tsrc = obs.NewTraceSource(seed, cfg.TraceSampleEvery)
-		d.traces = obs.NewTraceStore(cfg.TraceCapacity)
+		d.traces = obs.NewTraceStore(traceCapacity)
 	}
 	if cfg.SLO != nil {
 		sc := *cfg.SLO

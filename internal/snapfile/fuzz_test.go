@@ -63,9 +63,6 @@ func FuzzOpen(f *testing.F) {
 			if _, err := r.MustSection(id); err != nil {
 				t.Fatalf("MustSection(%#x) = %v on a validated image", id, err)
 			}
-			if crc, ok := r.SectionChecksum(id); !ok || crc != Checksum(p) {
-				t.Fatalf("SectionChecksum(%#x) = %#x/%v, want %#x", id, crc, ok, Checksum(p))
-			}
 			if len(p)%8 == 0 {
 				if _, err := Float64View(p); err != nil {
 					t.Fatalf("Float64View on aligned %d-byte section %#x: %v", len(p), id, err)

@@ -7,7 +7,7 @@
 // Layout (all integers little-endian):
 //
 //	offset  0  magic   "RSNAPSF\x00" (8 bytes)
-//	offset  8  version uint32 (currently 1)
+//	offset  8  version uint32 (Version)
 //	offset 12  count   uint32 (number of sections)
 //	offset 16  size    uint64 (total file length, for truncation detection)
 //	offset 24  flags   uint32 (bit 0: float payloads are little-endian IEEE 754)
@@ -22,8 +22,8 @@
 // property core.LoadSnapshot relies on to rebuild wordvec matrices in
 // microseconds. The package is deliberately schema-free: section IDs and
 // payload encodings (see Enc/Dec) belong to the caller, so the same
-// container serves the catalog table, per-release extractions, the interner
-// symbol table, and the app IR.
+// container serves the fingerprints, the app IR and the per-release
+// extractions.
 //
 // Versioning policy: any change to the header, the section-entry shape, or
 // the meaning of an existing section ID bumps Version; readers reject files
@@ -42,10 +42,11 @@ import (
 
 // Version is the current snapshot container format version. Version 2
 // retired two section families core wrote under version 1 (quantized scan
-// tiers and delta images), so every version 1 file — including the ones
-// without those sections — is rejected with ErrVersion and must be
-// recompiled.
-const Version = 2
+// tiers and delta images). Version 3 retired the process-wide tables core
+// wrote into every version 2 image (the interner symbol table and the
+// framework-catalog table), which a loader now checks by checksum only.
+// Every older file is rejected with ErrVersion and must be recompiled.
+const Version = 3
 
 // flagLittleEndian marks float payloads as little-endian IEEE 754. It is
 // the only layout today; the flag exists so a future big-endian writer is
@@ -148,7 +149,6 @@ type Reader struct {
 	data  []byte
 	ids   []uint32
 	spans [][]byte
-	crcs  []uint32
 }
 
 // OpenFile reads and validates a snapshot file.
@@ -188,7 +188,7 @@ func Open(data []byte) (*Reader, error) {
 	if count < 0 || tableEnd > len(data) {
 		return nil, fmt.Errorf("%w: section table for %d sections exceeds the file", ErrTruncated, count)
 	}
-	r := &Reader{data: data, ids: make([]uint32, 0, count), spans: make([][]byte, 0, count), crcs: make([]uint32, 0, count)}
+	r := &Reader{data: data, ids: make([]uint32, 0, count), spans: make([][]byte, 0, count)}
 	seen := make(map[uint32]struct{}, count)
 	for i := 0; i < count; i++ {
 		e := data[headerSize+sectionEntrySize*i:]
@@ -213,21 +213,8 @@ func Open(data []byte) (*Reader, error) {
 		}
 		r.ids = append(r.ids, id)
 		r.spans = append(r.spans, payload)
-		r.crcs = append(r.crcs, crc)
 	}
 	return r, nil
-}
-
-// SectionChecksum returns the CRC-32C of a section's payload, as validated
-// by Open — callers comparing a payload against a known fingerprint can use
-// it instead of rehashing the bytes.
-func (r *Reader) SectionChecksum(id uint32) (uint32, bool) {
-	for i, have := range r.ids {
-		if have == id {
-			return r.crcs[i], true
-		}
-	}
-	return 0, false
 }
 
 // Section returns the payload of the section with the given ID.
