@@ -10,12 +10,15 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"reviewsolver/internal/apk"
 	"reviewsolver/internal/snapfile"
 	"reviewsolver/internal/synth"
+	"reviewsolver/internal/textclass"
 )
 
 // typedLoadError reports whether a LoadSnapshotBytes failure is one of the
@@ -223,4 +226,66 @@ func TestWriteLoadFuzzSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// productionClassifier is the classifier reviewd installs: boosted trees
+// trained on synth.TrainingCorpus(1), trained once per test process.
+var productionClassifier = sync.OnceValues(func() (*textclass.Vectorizer, textclass.Classifier) {
+	return textclass.TrainOn(synth.TrainingCorpus(1),
+		func() textclass.Classifier { return textclass.NewBoostedTrees() })
+})
+
+// reviewTextSeeds are the FuzzReviewText seeds: empty text, non-ASCII
+// bytes, negated error words, a quoted error message and a 40-sentence
+// review that mixes error, praise, negation and request sentences.
+func reviewTextSeeds() []string {
+	templates := []string{
+		"The app crashes when I open folder %d.",
+		"I love theme %d!",
+		"No bugs in sync %d, it never fails.",
+		"Cannot login to account %d since the update.",
+		"Please add widget %d?",
+	}
+	var long strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&long, templates[i%len(templates)]+" ", i)
+	}
+	return []string{
+		"",
+		"\x00\xff\xfe crash \xe2\x80\x94 érror 😀 won't sync\ttwice\n",
+		"No bugs, never crashes. Not a single error!",
+		"The app doesn't contain any errors. There are zero problems.",
+		`It says "Cannot fetch mail: connection error" every time I open the inbox.`,
+		long.String(),
+	}
+}
+
+// FuzzReviewText passes arbitrary text through the production front end
+// three times: twice through one long-lived solver (its sentence-cache
+// miss, then its hit) and once through a fresh solver, whose sentence and
+// phrase caches, spelling memo and analysis scratch start empty (only the
+// immutable interner and the trained classifier are shared). All three must
+// give a deep-equal ReviewAnalysis and the same IsErrorReview decision, and
+// nothing may panic.
+func FuzzReviewText(f *testing.F) {
+	for _, s := range reviewTextSeeds() {
+		f.Add(s)
+	}
+	vec, clf := productionClassifier()
+	warm := New(WithClassifier(vec, clf))
+	f.Fuzz(func(t *testing.T, text string) {
+		first, firstErr := warm.AnalyzeReview(text), warm.IsErrorReview(text)
+		again, againErr := warm.AnalyzeReview(text), warm.IsErrorReview(text)
+		fresh := New(WithClassifier(vec, clf))
+		cold, coldErr := fresh.AnalyzeReview(text), fresh.IsErrorReview(text)
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("cached analysis %+v, first analysis %+v", again, first)
+		}
+		if !reflect.DeepEqual(cold, first) {
+			t.Fatalf("fresh solver's analysis %+v, long-lived solver's %+v", cold, first)
+		}
+		if againErr != firstErr || coldErr != firstErr {
+			t.Fatalf("IsErrorReview: first %v, cached %v, fresh %v", firstErr, againErr, coldErr)
+		}
+	})
 }
