@@ -53,10 +53,10 @@ func (nb *NaiveBayes) Fit(xs []FeatureVector, ys []bool) {
 	for i, x := range xs {
 		c := classIdx(ys[i])
 		count[c]++
-		for f, w := range x {
-			sum[c][f] += w
-			total[c] += w
-			vocab[f] = struct{}{}
+		for _, ft := range x {
+			sum[c][ft.ID] += ft.Weight
+			total[c] += ft.Weight
+			vocab[ft.ID] = struct{}{}
 		}
 	}
 	n := float64(len(xs))
@@ -74,9 +74,9 @@ func (nb *NaiveBayes) Fit(xs []FeatureVector, ys []bool) {
 // Predict implements Classifier.
 func (nb *NaiveBayes) Predict(x FeatureVector) bool {
 	score := [2]float64{nb.logPrior[0], nb.logPrior[1] + nb.bias*float64(len(x))}
-	for f := range x {
+	for _, ft := range x {
 		for c := 0; c < 2; c++ {
-			if lp, ok := nb.logProb[c][f]; ok {
+			if lp, ok := nb.logProb[c][ft.ID]; ok {
 				score[c] += lp
 			} else {
 				score[c] += nb.logUnk[c]
@@ -137,8 +137,8 @@ func (m *MaxEnt) Fit(xs []FeatureVector, ys []bool) {
 				y = 1
 			}
 			g := p - y
-			for f, v := range xs[i] {
-				m.w[f] -= lr * (g*v + m.l2*m.w[f])
+			for _, ft := range xs[i] {
+				m.w[ft.ID] -= lr * (g*ft.Weight + m.l2*m.w[ft.ID])
 			}
 			m.b -= lr * g
 		}
@@ -147,8 +147,8 @@ func (m *MaxEnt) Fit(xs []FeatureVector, ys []bool) {
 
 func (m *MaxEnt) prob(x FeatureVector) float64 {
 	z := m.b
-	for f, v := range x {
-		z += m.w[f] * v
+	for _, ft := range x {
+		z += m.w[ft.ID] * ft.Weight
 	}
 	return 1 / (1 + math.Exp(-z))
 }
@@ -195,8 +195,8 @@ func (s *SVM) Fit(xs []FeatureVector, ys []bool) {
 				y = 1
 			}
 			margin := s.b
-			for f, v := range xs[i] {
-				margin += s.scale * s.w[f] * v
+			for _, ft := range xs[i] {
+				margin += s.scale * s.w[ft.ID] * ft.Weight
 			}
 			// Lazy L2 shrink: fold (1 - eta*lambda) into the scale.
 			shrink := 1 - eta*s.lambda
@@ -212,8 +212,8 @@ func (s *SVM) Fit(xs []FeatureVector, ys []bool) {
 				s.scale = 1
 			}
 			if y*margin < 1 {
-				for f, v := range xs[i] {
-					s.w[f] += eta * y * v / s.scale
+				for _, ft := range xs[i] {
+					s.w[ft.ID] += eta * y * ft.Weight / s.scale
 				}
 				s.b += eta * y * 0.01
 			}
@@ -224,8 +224,8 @@ func (s *SVM) Fit(xs []FeatureVector, ys []bool) {
 // Predict implements Classifier.
 func (s *SVM) Predict(x FeatureVector) bool {
 	margin := s.b
-	for f, v := range x {
-		margin += s.scale * s.w[f] * v
+	for _, ft := range x {
+		margin += s.scale * s.w[ft.ID] * ft.Weight
 	}
 	return margin >= 0
 }

@@ -32,7 +32,7 @@ func OracleDiff(c Classifier, xs []FeatureVector, ys []bool) string {
 			return d
 		}
 		for i, x := range xs {
-			got, want := m.forest.sum(x, m.bias, m.shrinkage), oracleMargin(bias, m.shrinkage, trees, x)
+			got, want := m.forest.sum(x, m.bias, m.shrinkage), oracleMargin(bias, m.shrinkage, trees, featureMap(x))
 			if math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Sprintf("row %d: margin %v, oracle %v", i, got, want)
 			}
@@ -43,11 +43,11 @@ func OracleDiff(c Classifier, xs []FeatureVector, ys []bool) string {
 			return d
 		}
 		for i, x := range xs {
-			got, want := m.forest.sum(x, 0, 1), oracleMargin(0, 1, trees, x)
+			got, want := m.forest.sum(x, 0, 1), oracleMargin(0, 1, trees, featureMap(x))
 			if math.Float64bits(got) != math.Float64bits(want) {
 				return fmt.Sprintf("row %d: vote sum %v, oracle %v", i, got, want)
 			}
-			if m.Predict(x) != oracleForestPredict(trees, x) {
+			if m.Predict(x) != oracleForestPredict(trees, featureMap(x)) {
 				return fmt.Sprintf("row %d: Predict differs from the oracle", i)
 			}
 		}
@@ -56,6 +56,10 @@ func OracleDiff(c Classifier, xs []FeatureVector, ys []bool) string {
 	}
 	return ""
 }
+
+// OracleTransform is the reference Transform: every sentence parsed, and
+// the features counted in a map.
+func (v *Vectorizer) OracleTransform(text string) FeatureVector { return v.oracleTransform(text) }
 
 // OracleWalk scores vectors on a trained BoostedTrees by walking its trees,
 // rebuilt as reference pointer trees, with treeNode.eval.
@@ -71,7 +75,7 @@ func NewOracleWalk(bt *BoostedTrees) *OracleWalk {
 
 // Score is the reference BoostedTrees.Score.
 func (o *OracleWalk) Score(x FeatureVector) float64 {
-	return sigmoid(oracleMargin(o.bias, o.shrinkage, o.trees, x))
+	return sigmoid(oracleMargin(o.bias, o.shrinkage, o.trees, featureMap(x)))
 }
 
 // Score returns the positive-class probability; the review pipeline uses it

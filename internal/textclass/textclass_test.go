@@ -77,11 +77,20 @@ func TestVectorizerFitTransform(t *testing.T) {
 	if len(x) == 0 {
 		t.Fatal("empty feature vector for in-vocabulary text")
 	}
-	for f, val := range x {
-		if val <= 0 {
-			t.Errorf("feature %d has non-positive weight %f", f, val)
+	for _, ft := range x {
+		if ft.Weight <= 0 {
+			t.Errorf("feature %d has non-positive weight %f", ft.ID, ft.Weight)
 		}
 	}
+}
+
+// tokensOf is the effective token stream of a review (tokensInto), copied
+// out of the pooled scratch.
+func (v *Vectorizer) tokensOf(text string) []string {
+	sc := transformScratchPool.Get().(*transformScratch)
+	words := append([]string(nil), v.tokensInto(sc, text)...)
+	sc.release()
+	return words
 }
 
 func TestVectorizerNegationFiltering(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 func featurePool(xs []FeatureVector, idx []int) []int {
 	set := make(map[int]struct{})
 	for _, i := range idx {
-		for f := range xs[i] {
-			set[f] = struct{}{}
+		for _, ft := range xs[i] {
+			set[ft.ID] = struct{}{}
 		}
 	}
 	out := make([]int, 0, len(set))
@@ -25,9 +25,9 @@ func featurePool(xs []FeatureVector, idx []int) []int {
 
 // columnIndex returns the column index the split searches read: for each
 // feature of pool, a bitset of the rows of xs where that feature is
-// positive. x[f] > 0 is the test a tree routes a vector by, so a feature
-// whose key is present with a value <= 0 (a word in every document has IDF
-// 0) has no row set and always routes left.
+// positive. A weight > 0 is the test a tree routes a vector by, so a
+// feature present with a weight <= 0 (a word in every document has IDF 0)
+// has no row set and always routes left.
 func columnIndex(xs []FeatureVector, pool []int) map[int][]uint64 {
 	words := (len(xs) + 63) / 64
 	backing := make([]uint64, len(pool)*words)
@@ -36,8 +36,8 @@ func columnIndex(xs []FeatureVector, pool []int) map[int][]uint64 {
 		cols[f] = backing[k*words : (k+1)*words : (k+1)*words]
 	}
 	for i, x := range xs {
-		for f, v := range x {
-			if col, ok := cols[f]; ok && v > 0 {
+		for _, ft := range x {
+			if col, ok := cols[ft.ID]; ok && ft.Weight > 0 {
 				col[i>>6] |= 1 << (i & 63)
 			}
 		}
@@ -58,17 +58,31 @@ type node struct {
 
 // forest is the one tree representation both ensembles train into and
 // predict from: every tree's nodes in a single array, and each split feature
-// mapped to a dense slot. A prediction sets one bit per present slot of the
-// review and walks every tree by bit tests instead of map probes.
+// mapped to a dense slot.
+//
+// A tree's all-absent path is the path a vector takes when none of the
+// features it tests is present. After training, index stores each tree's
+// leaf on that path and, per slot, the trees whose all-absent path tests
+// it. A prediction sets one bit per present slot of the review and walks
+// only the trees listed under those slots; every other tree reaches its
+// stored leaf, since each test on its all-absent path reads absent.
 type forest struct {
-	nodes []node
-	roots []int32       // roots[t]: index of tree t's root in nodes
-	slots map[int]int32 // split feature → slot
+	nodes  []node
+	roots  []int32 // roots[t]: index of tree t's root in nodes
+	slotOf []int32 // slotOf[feature]: its slot, -1 when no tree splits on it
+	nslots int
+
+	// Set by index.
+	absentLeaf []float64 // absentLeaf[t]: tree t's leaf on its all-absent path
+	pathTrees  [][]int32 // pathTrees[s]: the trees whose all-absent path tests slot s
 }
 
-// stackSlotWords sizes the slot set a prediction keeps on the stack; larger
-// forests allocate it.
-const stackSlotWords = 64
+// stackSlotWords and stackTreeWords size the slot and tree sets a
+// prediction keeps on the stack; larger forests allocate them.
+const (
+	stackSlotWords = 64
+	stackTreeWords = 8
+)
 
 // add appends a leaf and returns its index; split may turn it into an inner
 // node once its left subtree has been grown.
@@ -80,44 +94,74 @@ func (f *forest) add(value float64) int {
 // split makes node at an inner node on feature whose right subtree starts
 // at the next node appended.
 func (f *forest) split(at, feature int) {
-	if f.slots == nil {
-		f.slots = make(map[int]int32)
+	for len(f.slotOf) <= feature {
+		f.slotOf = append(f.slotOf, -1)
 	}
-	s, ok := f.slots[feature]
-	if !ok {
-		s = int32(len(f.slots))
-		f.slots[feature] = s
+	s := f.slotOf[feature]
+	if s < 0 {
+		s = int32(f.nslots)
+		f.nslots++
+		f.slotOf[feature] = s
 	}
 	f.nodes[at] = node{feature: feature, slot: s, right: int32(len(f.nodes))}
 }
 
-// sum returns start + Σ scale·leaf over the trees in order, each leaf being
-// the one x reaches.
-func (f *forest) sum(x FeatureVector, start, scale float64) float64 {
-	var stack [stackSlotWords]uint64
-	set := stack[:]
-	if words := (len(f.slots) + 63) / 64; words > len(stack) {
-		set = make([]uint64, words)
+// index builds the all-absent tables of a trained forest.
+func (f *forest) index() {
+	f.absentLeaf = make([]float64, len(f.roots))
+	f.pathTrees = make([][]int32, f.nslots)
+	for t, root := range f.roots {
+		i := root
+		for ; f.nodes[i].slot >= 0; i++ {
+			s := f.nodes[i].slot
+			f.pathTrees[s] = append(f.pathTrees[s], int32(t))
+		}
+		f.absentLeaf[t] = f.nodes[i].value
 	}
-	for feat, v := range x {
-		if v > 0 {
-			if slot, ok := f.slots[feat]; ok {
-				set[slot>>6] |= 1 << (slot & 63)
-			}
+}
+
+// sum returns start + Σ scale·leaf over the trees in order, each leaf being
+// the one x reaches. The leaves are added in tree order whichever trees were
+// walked, so the sum is the same float as a walk of every tree.
+func (f *forest) sum(x FeatureVector, start, scale float64) float64 {
+	var slotStack [stackSlotWords]uint64
+	var treeStack [stackTreeWords]uint64
+	present, touched := slotStack[:], treeStack[:]
+	if words := (f.nslots + 63) / 64; words > len(present) {
+		present = make([]uint64, words)
+	}
+	if words := (len(f.roots) + 63) / 64; words > len(touched) {
+		touched = make([]uint64, words)
+	}
+	for _, ft := range x {
+		if uint(ft.ID) >= uint(len(f.slotOf)) || !(ft.Weight > 0) {
+			continue
+		}
+		slot := f.slotOf[ft.ID]
+		if slot < 0 {
+			continue
+		}
+		present[slot>>6] |= 1 << (slot & 63)
+		for _, t := range f.pathTrees[slot] {
+			touched[t>>6] |= 1 << (t & 63)
 		}
 	}
 	s := start
-	for _, i := range f.roots {
-		n := &f.nodes[i]
-		for n.slot >= 0 {
-			if set[n.slot>>6]>>(n.slot&63)&1 != 0 {
-				i = n.right
-			} else {
-				i++
+	for t, i := range f.roots {
+		leaf := f.absentLeaf[t]
+		if touched[t>>6]>>(t&63)&1 != 0 {
+			n := &f.nodes[i]
+			for n.slot >= 0 {
+				if present[n.slot>>6]>>(n.slot&63)&1 != 0 {
+					i = n.right
+				} else {
+					i++
+				}
+				n = &f.nodes[i]
 			}
-			n = &f.nodes[i]
+			leaf = n.value
 		}
-		s += scale * n.value
+		s += scale * leaf
 	}
 	return s
 }
@@ -199,6 +243,7 @@ func (rf *RandomForest) Fit(xs []FeatureVector, ys []bool) {
 		g.roots = append(g.roots, int32(len(g.nodes)))
 		rf.grow(g, ys, idx, 0)
 	}
+	g.index()
 	rf.forest = g.forest
 }
 
@@ -336,6 +381,7 @@ func (bt *BoostedTrees) Fit(xs []FeatureVector, ys []bool) {
 			scores[i] += bt.shrinkage * leafOf[i]
 		}
 	}
+	g.index()
 	bt.forest = g.forest
 }
 
