@@ -71,7 +71,7 @@ func TestClassesCalling(t *testing.T) {
 
 func TestCallersAppMethod(t *testing.T) {
 	g := Build(testRelease())
-	got := g.Callers("com.test.app.Mailer.sendAll")
+	got := callerNames(g.Callers("com.test.app.Mailer", "sendAll"))
 	if !reflect.DeepEqual(got, []string{"com.test.app.MainActivity.onCreate"}) {
 		t.Errorf("Callers = %v", got)
 	}

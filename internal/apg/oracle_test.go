@@ -62,6 +62,15 @@ func oracleExceptionSites(g *Graph) []ExceptionSite {
 	return out
 }
 
+// callerNames lists the qualified names of caller sites.
+func callerNames(sites []Site) []string {
+	var out []string
+	for _, s := range sites {
+		out = append(out, s.Method.QualifiedName())
+	}
+	return out
+}
+
 // TestQueriesMatchWholeGraphOracle: dependency counts, exception sites and
 // exception-site callers, each derived per query, equal the whole-graph
 // derivation on every class and exception site of every release of the
@@ -87,8 +96,9 @@ func TestQueriesMatchWholeGraphOracle(t *testing.T) {
 						t.Fatalf("seed %d %s %s: ExceptionSites differ from the method-order walk", seed, app.Package, r.Version)
 					}
 					for _, s := range got {
-						q := s.Site.Method.QualifiedName()
-						if got, want := g.Callers(q), callers[q]; !reflect.DeepEqual(got, want) {
+						m := s.Site.Method
+						q := m.QualifiedName()
+						if got, want := callerNames(g.Callers(m.Class, m.Name)), callers[q]; !reflect.DeepEqual(got, want) {
 							t.Fatalf("seed %d %s %s: Callers(%s) = %v, oracle %v", seed, app.Package, r.Version, q, got, want)
 						}
 						sites++
@@ -136,8 +146,8 @@ func TestConcurrentQueries(t *testing.T) {
 	callers := make(map[string][]string)
 	seqSites := seq.ExceptionSites()
 	for _, s := range seqSites {
-		q := s.Site.Method.QualifiedName()
-		callers[q] = seq.Callers(q)
+		m := s.Site.Method
+		callers[m.QualifiedName()] = callerNames(seq.Callers(m.Class, m.Name))
 	}
 
 	g := Build(synth.InflateApp(data.App, 2).Latest())
@@ -156,8 +166,9 @@ func TestConcurrentQueries(t *testing.T) {
 				t.Errorf("%d exception sites, sequential %d", len(sites), len(seqSites))
 			}
 			for _, s := range sites {
-				q := s.Site.Method.QualifiedName()
-				if got := g.Callers(q); !reflect.DeepEqual(got, callers[q]) {
+				m := s.Site.Method
+				q := m.QualifiedName()
+				if got := callerNames(g.Callers(m.Class, m.Name)); !reflect.DeepEqual(got, callers[q]) {
 					t.Errorf("Callers(%s) = %v, sequential %v", q, got, callers[q])
 				}
 			}

@@ -685,22 +685,13 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 			}
 			e.match(npText, site.Site.Class(), site.Site.Method.Name,
 				"exception handler", 1, "handles ", site.Exception)
-			for _, caller := range info.Graph.Callers(site.Site.Method.QualifiedName()) {
-				cls, method := splitQualified(caller)
-				e.match(npText, cls, method, "exception handler caller", 1,
+			for _, caller := range info.Graph.Callers(site.Site.Method.Class, site.Site.Method.Name) {
+				e.match(npText, caller.Class(), caller.Method.Name, "exception handler caller", 1,
 					"calls ", site.Site.Method.Name, " which handles ", site.Exception)
 			}
 		}
 	}
 	return e.out
-}
-
-// splitQualified splits "pkg.Class.method" into class and method parts.
-func splitQualified(qualified string) (class, method string) {
-	if i := strings.LastIndexByte(qualified, '.'); i >= 0 {
-		return qualified[:i], qualified[i+1:]
-	}
-	return qualified, ""
 }
 
 // exceptionMatches reports whether an exception type name ("SocketException")
