@@ -40,10 +40,11 @@ run_step() {
 	race)
 		# The packages whose values are shared across goroutines: snapshots,
 		# the app IR's release index and diff memo, the property graph's
-		# memoized method order, the trained classifier, the Q&A index, the
-		# telemetry registry and the serving daemon (its chaos suite and
-		# TestServeSmoke).
-		go test -race ./internal/apk/... ./internal/apg/... ./internal/core/... ./internal/obs/... ./internal/snapfile/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
+		# memoized method order, the bounded memo behind the front-end
+		# caches, the spell-repair memo and the word-vector memo, the
+		# trained classifier, the Q&A index, the telemetry registry and the
+		# serving daemon (its chaos suite and TestServeSmoke).
+		go test -race ./internal/apk/... ./internal/apg/... ./internal/core/... ./internal/memo/... ./internal/obs/... ./internal/snapfile/... ./internal/textproc/... ./internal/wordvec/... ./internal/serve/... ./internal/textclass/... ./internal/qa/...
 		;;
 	fuzz-smoke)
 		# The decoders (snapshot container, snapshot load, app IR JSON

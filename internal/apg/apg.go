@@ -145,33 +145,23 @@ func catLess(a, b []string) bool {
 }
 
 // CallSitesOf returns every invocation site of class.method (framework API
-// or app method), in deterministic order.
+// or app method), ordered as Callers orders them (compareSites).
 func (g *Graph) CallSitesOf(class, method string) []Site {
-	sites := g.callSites[ref{class, method}]
-	out := make([]Site, len(sites))
-	copy(out, sites)
-	sort.Slice(out, func(i, j int) bool {
-		qi, qj := out[i].Method.QualifiedName(), out[j].Method.QualifiedName()
-		if qi != qj {
-			return qi < qj
-		}
-		return out[i].StmtIdx < out[j].StmtIdx
-	})
+	out := slices.Clone(g.callSites[ref{class, method}])
+	slices.SortFunc(out, compareSites)
 	return out
 }
 
-// ClassesCalling returns the distinct app classes that invoke class.method.
+// ClassesCalling returns the distinct app classes that invoke class.method,
+// sorted.
 func (g *Graph) ClassesCalling(class, method string) []string {
-	set := make(map[string]struct{})
-	for _, s := range g.callSites[ref{class, method}] {
-		set[s.Class()] = struct{}{}
+	sites := g.callSites[ref{class, method}]
+	out := make([]string, len(sites))
+	for i, s := range sites {
+		out[i] = s.Class()
 	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Callers returns the sites where app methods call the app method

@@ -62,6 +62,35 @@ func oracleExceptionSites(g *Graph) []ExceptionSite {
 	return out
 }
 
+// oracleCallSites orders a callee's sites by comparing their methods'
+// QualifiedName strings, then statement index, as CallSitesOf once did.
+func oracleCallSites(sites []Site) []Site {
+	out := make([]Site, len(sites))
+	copy(out, sites)
+	sort.Slice(out, func(i, j int) bool {
+		qi, qj := out[i].Method.QualifiedName(), out[j].Method.QualifiedName()
+		if qi != qj {
+			return qi < qj
+		}
+		return out[i].StmtIdx < out[j].StmtIdx
+	})
+	return out
+}
+
+// oracleClassesCalling collects a callee's calling classes in a set, sorted.
+func oracleClassesCalling(sites []Site) []string {
+	set := make(map[string]struct{})
+	for _, s := range sites {
+		set[s.Class()] = struct{}{}
+	}
+	out := make([]string, 0, len(set))
+	for c := range set {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // callerNames lists the qualified names of caller sites.
 func callerNames(sites []Site) []string {
 	var out []string
@@ -74,9 +103,11 @@ func callerNames(sites []Site) []string {
 // TestQueriesMatchWholeGraphOracle: dependency counts, exception sites and
 // exception-site callers, each derived per query, equal the whole-graph
 // derivation on every class and exception site of every release of the
-// Table 6 + 14 apps at seeds 1–3, plain and padded 15×.
+// Table 6 + 14 apps at seeds 1–3, plain and padded 15×; the call sites and
+// calling classes of every callee equal a sort on qualified-name strings
+// and a set.
 func TestQueriesMatchWholeGraphOracle(t *testing.T) {
-	releases, classes, sites := 0, 0, 0
+	releases, classes, sites, callees := 0, 0, 0, 0
 	for seed := int64(1); seed <= 3; seed++ {
 		apps := append(synth.GenerateTable6(seed), synth.GenerateTable14(seed)...)
 		for _, data := range apps {
@@ -103,6 +134,17 @@ func TestQueriesMatchWholeGraphOracle(t *testing.T) {
 						}
 						sites++
 					}
+					for k, cs := range g.callSites {
+						if got, want := g.CallSitesOf(k.class, k.method), oracleCallSites(cs); !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d %s %s: CallSitesOf(%s.%s) differs from the qualified-name sort",
+								seed, app.Package, r.Version, k.class, k.method)
+						}
+						if got, want := g.ClassesCalling(k.class, k.method), oracleClassesCalling(cs); !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d %s %s: ClassesCalling(%s.%s) = %v, oracle %v",
+								seed, app.Package, r.Version, k.class, k.method, got, want)
+						}
+						callees++
+					}
 					releases++
 				}
 			}
@@ -111,7 +153,7 @@ func TestQueriesMatchWholeGraphOracle(t *testing.T) {
 	if sites == 0 {
 		t.Fatal("no exception site in the corpus")
 	}
-	t.Logf("%d releases, %d class entries, %d exception sites", releases, classes, sites)
+	t.Logf("%d releases, %d class entries, %d exception sites, %d callees", releases, classes, sites, callees)
 }
 
 // TestDuplicateClassDependencies: a class name declared twice counts the

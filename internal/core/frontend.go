@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 
+	"reviewsolver/internal/memo"
 	"reviewsolver/internal/phrase"
 	"reviewsolver/internal/sentiment"
 	"reviewsolver/internal/textproc"
@@ -16,128 +17,6 @@ import (
 // heavily repetitive — the same complaints, the same verb phrases — so the
 // steady state of a batch run is cache hits plus pooled scratch, with the
 // expensive parse/embedding work paid once per distinct sentence or phrase.
-
-// cacheShards spreads lock contention; perShard bounds residency. The caps
-// are sized far above any seeded corpus (32×4096 sentences) so eviction
-// never perturbs the deterministic hit/miss counters in CI; under adversarial
-// input the two-generation rotation below still bounds memory.
-const (
-	cacheShards   = 32
-	cachePerShard = 4096
-)
-
-type cacheShard[V any] struct {
-	mu   sync.RWMutex
-	cur  map[string]V
-	prev map[string]V
-}
-
-// boundedCache is a sharded string-keyed cache bounded by two-generation
-// rotation: when a shard's current map reaches half its cap it becomes the
-// previous generation and a fresh map takes over, so residency per shard
-// never exceeds cachePerShard while hot keys survive via promotion.
-type boundedCache[V any] struct {
-	shards [cacheShards]cacheShard[V]
-}
-
-func newBoundedCache[V any]() *boundedCache[V] {
-	c := &boundedCache[V]{}
-	for i := range c.shards {
-		c.shards[i].cur = make(map[string]V)
-	}
-	return c
-}
-
-// cacheHash is FNV-1a over the key bytes.
-func cacheHash(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func cacheHashBytes(key []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (c *boundedCache[V]) get(key string) (V, bool) {
-	sh := &c.shards[cacheHash(key)%cacheShards]
-	sh.mu.RLock()
-	v, ok := sh.cur[key]
-	if ok {
-		sh.mu.RUnlock()
-		return v, true
-	}
-	v, ok = sh.prev[key]
-	sh.mu.RUnlock()
-	if ok {
-		c.put(key, v) // promote so hot keys survive rotation
-		return v, true
-	}
-	var zero V
-	return zero, false
-}
-
-// getBytes is get for a byte-slice key. The map index expressions convert
-// with string(key) directly, which the compiler recognizes as a lookup that
-// needs no allocation — the hot path for interned phrase-ID keys.
-func (c *boundedCache[V]) getBytes(key []byte) (V, bool) {
-	sh := &c.shards[cacheHashBytes(key)%cacheShards]
-	sh.mu.RLock()
-	v, ok := sh.cur[string(key)]
-	if ok {
-		sh.mu.RUnlock()
-		return v, true
-	}
-	v, ok = sh.prev[string(key)]
-	sh.mu.RUnlock()
-	if ok {
-		c.put(string(key), v)
-		return v, true
-	}
-	var zero V
-	return zero, false
-}
-
-// put inserts key if absent and reports (resident value, whether this call
-// created the entry). Under a concurrent duplicate compute the first insert
-// wins and every later caller gets the winner's value with created=false, so
-// "created" counts each distinct key exactly once — the property that keeps
-// the miss counters deterministic at any worker count.
-func (c *boundedCache[V]) put(key string, v V) (V, bool) {
-	sh := &c.shards[cacheHash(key)%cacheShards]
-	sh.mu.Lock()
-	if old, ok := sh.cur[key]; ok {
-		sh.mu.Unlock()
-		return old, false
-	}
-	if len(sh.cur) >= cachePerShard/2 {
-		sh.prev = sh.cur
-		sh.cur = make(map[string]V, cachePerShard/2)
-	}
-	sh.cur[key] = v
-	sh.mu.Unlock()
-	return v, true
-}
-
-// size returns the resident entry count across all shards and generations.
-func (c *boundedCache[V]) size() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.cur) + len(sh.prev)
-		sh.mu.RUnlock()
-	}
-	return n
-}
 
 // clauseOutcome is the cached fate of one adversative clause of a sentence:
 // dropped as positive, dropped by the intent filter, or kept with its
@@ -185,30 +64,28 @@ type analysisScratch struct {
 // template (snapshot-backed solvers and pool workers), so the caches are
 // corpus-level: any worker's parse warms every other worker.
 type frontend struct {
-	in         *textproc.Interner
-	sentences  *boundedCache[*sentenceEntry]
-	preps      *boundedCache[*phrasePrep]
-	vecs       *boundedCache[wordvec.Vector]
-	scratch    sync.Pool // *analysisScratch
-	keyScratch sync.Pool // *[]byte, interned-ID key buffers
+	in        *textproc.Interner
+	sentences *memo.Cache[*sentenceEntry]
+	preps     *memo.Cache[*phrasePrep]
+	// exceptionWords holds the identifier words of an exception type name
+	// other than "exception", keyed by the name. Its keys come from the
+	// catalog and the app IR, not from review text.
+	exceptionWords *memo.Cache[[]string]
+	scratch        sync.Pool // *analysisScratch
 }
 
 func newFrontend() *frontend {
 	fe := &frontend{
-		in:        defaultInterner(),
-		sentences: newBoundedCache[*sentenceEntry](),
-		preps:     newBoundedCache[*phrasePrep](),
-		vecs:      newBoundedCache[wordvec.Vector](),
+		in:             defaultInterner(),
+		sentences:      memo.New[*sentenceEntry](),
+		preps:          memo.New[*phrasePrep](),
+		exceptionWords: memo.New[[]string](),
 	}
 	fe.scratch.New = func() any {
 		return &analysisScratch{
 			seenVP: make(map[string]struct{}, 16),
 			seenNP: make(map[string]struct{}, 16),
 		}
-	}
-	fe.keyScratch.New = func() any {
-		b := make([]byte, 0, 64)
-		return &b
 	}
 	return fe
 }
@@ -220,11 +97,11 @@ func newFrontend() *frontend {
 // sentences — deterministic at any worker count (absent eviction, which the
 // cap sizing rules out for seeded corpora).
 func (fe *frontend) sentence(s *Solver, sent string) *sentenceEntry {
-	if e, ok := fe.sentences.get(sent); ok {
+	if e, ok := fe.sentences.Get(sent); ok {
 		s.rec.Counter(metricAnalysisCacheHits).Add(1)
 		return e
 	}
-	e, created := fe.sentences.put(sent, s.computeSentence(sent))
+	e, created := fe.sentences.Put(sent, s.computeSentence(sent))
 	if created {
 		s.rec.Counter(metricAnalysisCacheMisses).Add(1)
 	} else {
@@ -273,7 +150,7 @@ func (s *Solver) computeSentence(sent string) *sentenceEntry {
 // prep returns the cached embedding preparation for a verb phrase, keyed by
 // its rendered text. Counter discipline matches sentence().
 func (fe *frontend) prep(s *Solver, key string, vp phrase.VerbPhrase) *phrasePrep {
-	if p, ok := fe.preps.get(key); ok {
+	if p, ok := fe.preps.Get(key); ok {
 		s.rec.Counter(metricPhraseCacheHits).Add(1)
 		return p
 	}
@@ -281,43 +158,20 @@ func (fe *frontend) prep(s *Solver, key string, vp phrase.VerbPhrase) *phrasePre
 	p := &phrasePrep{
 		text:  key,
 		words: words,
-		q:     wordvec.PrepareQuery(fe.phraseVector(s, words)),
+		q:     wordvec.PrepareQuery(s.vec.PhraseVector(words)),
 	}
 	if len(vp.Object) > 0 {
 		p.hasObj = true
-		p.objVec = fe.phraseVector(s, vp.Object)
+		p.objVec = s.vec.PhraseVector(vp.Object)
 	}
-	p.contentQ = wordvec.PrepareQuery(fe.phraseVector(s, contentOnly(words)))
-	p, created := fe.preps.put(key, p)
+	p.contentQ = wordvec.PrepareQuery(s.vec.PhraseVector(contentOnly(words)))
+	p, created := fe.preps.Put(key, p)
 	if created {
 		s.rec.Counter(metricPhraseCacheMisses).Add(1)
 	} else {
 		s.rec.Counter(metricPhraseCacheHits).Add(1)
 	}
 	return p
-}
-
-// phraseVector embeds a word sequence through the interned-ID vector cache.
-// Fully interned sequences key on their packed 4-byte IDs (no per-lookup
-// allocation); sequences with any out-of-vocabulary word skip the cache.
-func (fe *frontend) phraseVector(s *Solver, words []string) wordvec.Vector {
-	kp := fe.keyScratch.Get().(*[]byte)
-	key, ok := fe.in.AppendIDs((*kp)[:0], words)
-	if !ok {
-		*kp = key[:0]
-		fe.keyScratch.Put(kp)
-		return s.vec.PhraseVector(words)
-	}
-	if v, found := fe.vecs.getBytes(key); found {
-		*kp = key[:0]
-		fe.keyScratch.Put(kp)
-		return v
-	}
-	v := s.vec.PhraseVector(words)
-	fe.vecs.put(string(key), v)
-	*kp = key[:0]
-	fe.keyScratch.Put(kp)
-	return v
 }
 
 // publishFrontendGauges sets the front-end size gauges. Gauges are set only
@@ -328,6 +182,6 @@ func (s *Solver) publishFrontendGauges() {
 		return
 	}
 	s.rec.Gauge(metricInternerSize).Set(int64(s.fe.in.Size()))
-	s.rec.Gauge(metricAnalysisCacheSize).Set(int64(s.fe.sentences.size()))
+	s.rec.Gauge(metricAnalysisCacheSize).Set(int64(s.fe.sentences.Len()))
 	s.rec.Gauge(metricSpellMemoSize).Set(int64(s.normalizer.MemoSize()))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"reviewsolver/internal/apk"
@@ -665,7 +666,7 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 		// Framework APIs documented to throw a matching exception type.
 		for _, use := range info.APIs {
 			for _, ex := range use.API.Exceptions {
-				if !exceptionMatches(ex, words) {
+				if !s.exceptionMatches(ex, words) {
 					continue
 				}
 				for _, cls := range use.Classes {
@@ -680,7 +681,7 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 		// those methods ("we output the classes that call these framework
 		// APIs or the methods defined by developers").
 		for _, site := range info.Exceptions {
-			if !exceptionMatches(site.Exception, words) {
+			if !s.exceptionMatches(site.Exception, words) {
 				continue
 			}
 			e.match(npText, site.Site.Class(), site.Site.Method.Name,
@@ -695,17 +696,17 @@ func (s *Solver) localizeException(e emitter, in localizeInput) []Mapping {
 }
 
 // exceptionMatches reports whether an exception type name ("SocketException")
-// matches the review's type words (["socket"]).
-func exceptionMatches(exception string, words []string) bool {
-	typeWords := textproc.SplitIdentifier(exception)
-	set := make(map[string]struct{}, len(typeWords))
-	for _, w := range typeWords {
-		if w != "exception" {
-			set[w] = struct{}{}
-		}
+// matches the review's type words (["socket"]): each is one of the name's
+// identifier words other than "exception".
+func (s *Solver) exceptionMatches(exception string, words []string) bool {
+	typeWords, ok := s.fe.exceptionWords.Get(exception)
+	if !ok {
+		typeWords = slices.DeleteFunc(textproc.SplitIdentifier(exception),
+			func(w string) bool { return w == "exception" })
+		typeWords, _ = s.fe.exceptionWords.Put(exception, typeWords)
 	}
 	for _, w := range words {
-		if _, ok := set[w]; !ok {
+		if !slices.Contains(typeWords, w) {
 			return false
 		}
 	}

@@ -166,7 +166,6 @@ func loadSnapshot(r *snapfile.Reader, opts ...Option) (*Snapshot, *apk.App, erro
 		sn.static[release] = e
 	}
 
-	s.staticCache = nil
 	s.snap = sn
 	sn.solver = &s
 	return sn, app, nil

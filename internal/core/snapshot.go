@@ -24,15 +24,14 @@ import (
 //     finishes) and are read-only afterwards;
 //   - the underlying components (catalog table, embedding model, Q&A index,
 //     classifier, summarizer) are read-only at query time — the embedding
-//     model's internal memo cache is lock-guarded and deterministic.
+//     model's word memo is a bounded memo.Cache of deterministic vectors.
 //
 // Memory model: one snapshot costs one StaticInfo per distinct release,
 // independent of the worker count — an N-worker pool no longer pays N× the
 // warm-up or N× the memory.
 type Snapshot struct {
 	// solver is the frozen template whose components every snapshot-backed
-	// solver shares. Its private caches are retired (nil) so that all reads
-	// route back through the snapshot.
+	// solver shares; its own reads route back through the snapshot.
 	solver *Solver
 
 	mu     sync.Mutex
@@ -45,25 +44,23 @@ type staticEntry struct {
 	info *StaticInfo
 }
 
-// NewSnapshot builds a snapshot from the same options New accepts. Use
-// Precompute / PrecomputeApp to pay the per-release extraction cost up
-// front.
+// NewSnapshot builds a snapshot from the same options New accepts: the
+// snapshot of the solver New returns. Use Precompute / PrecomputeApp to
+// pay the per-release extraction cost up front.
 func NewSnapshot(opts ...Option) *Snapshot {
-	s := New(opts...)
-	sn := &Snapshot{static: make(map[*apk.Release]*staticEntry)}
-	// Retire the template's private cache; every read now routes through
-	// the snapshot, and the template is never mutated again.
-	s.staticCache = nil
-	s.snap = sn
-	sn.solver = s
-	return sn
+	return New(opts...).snap
+}
+
+// newSnapshot returns an empty snapshot whose template is s.
+func newSnapshot(s *Solver) *Snapshot {
+	return &Snapshot{solver: s, static: make(map[*apk.Release]*staticEntry)}
 }
 
 // NewWithSnapshot returns a Solver backed by the shared snapshot. The
 // returned solver owns no mutable caches — any number of snapshot-backed
 // solvers may run concurrently. Options apply to the returned solver only;
-// WithWordModel detaches the solver from the snapshot entirely (the
-// precomputed embeddings would not match the new model).
+// WithWordModel detaches the solver from the snapshot and gives it one of
+// its own (the precomputed embeddings would not match the new model).
 func NewWithSnapshot(sn *Snapshot, opts ...Option) *Solver {
 	s := *sn.solver
 	for _, opt := range opts {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"testing"
+
+	"reviewsolver/internal/synth"
 )
 
 func TestSnapshotSolverMatchesSequential(t *testing.T) {
@@ -125,15 +128,51 @@ func TestWithWordModelDetachesSnapshot(t *testing.T) {
 	release := apps[0].App.Latest()
 
 	detached := NewWithSnapshot(sn, WithWordModel(s.vec))
-	if detached.snap != nil {
-		t.Fatal("WithWordModel must detach the snapshot")
+	if detached.snap == sn {
+		t.Fatal("WithWordModel must detach the shared snapshot")
 	}
-	if detached.staticCache == nil {
-		t.Fatal("detached solver needs a private static cache")
+	if detached.snap.solver != detached {
+		t.Fatal("detached solver's snapshot is not its own")
 	}
 	if info := detached.StaticFor(release); info == nil {
 		t.Fatal("detached solver cannot extract")
 	}
+	if sn.StaticFor(release) == detached.StaticFor(release) {
+		t.Fatal("detached solver shares the snapshot's extraction")
+	}
+}
+
+// TestNewSolverConcurrent: a New() solver reads its §3.3 extraction through
+// a snapshot of its own, so goroutines may share it from its first review
+// on. Each goroutine starts at a different review, so first extractions of
+// different releases overlap, and each must rank as a sequential solver
+// does.
+func TestNewSolverConcurrent(t *testing.T) {
+	data := synth.GenerateSample(1)
+	seq := New()
+	want := make([][]string, len(data.Reviews))
+	for i, rv := range data.Reviews {
+		want[i] = seq.LocalizeReview(data.App, rv.Text, rv.PublishedAt).RankedClassNames()
+	}
+	const goroutines = 4
+	shared := New()
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range data.Reviews {
+				i := (k + g*len(data.Reviews)/goroutines) % len(data.Reviews)
+				rv := data.Reviews[i]
+				got := shared.LocalizeReview(data.App, rv.Text, rv.PublishedAt).RankedClassNames()
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, review %d: ranking %v, sequential %v", g, i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func assertSameRanking(t *testing.T, input int, got, want []string) {

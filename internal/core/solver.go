@@ -51,13 +51,9 @@ type Solver struct {
 	// update intuition applied at rank time).
 	changeAware bool
 
-	// snap, when set, is the shared immutable precomputed state this
-	// solver reads through instead of its private caches below.
+	// snap is the precomputed state this solver reads its §3.3 extraction
+	// through: the snapshot it was built from, or one of its own.
 	snap *Snapshot
-
-	// staticCache memoizes the §3.3 extraction per release pointer.
-	// Unused (nil) when snap is set.
-	staticCache map[*apk.Release]*StaticInfo
 
 	// catalogTab is the full-catalog phrase table of a solver whose word
 	// model WithWordModel replaced. Nil (the default) means the process's
@@ -192,16 +188,14 @@ func WithSummarizer(m *code2vec.Model) Option {
 // WithWordModel overrides the word-embedding model (ablations use it to
 // compare semantic matching against near-exact thresholds). Installing a
 // different model detaches the solver from any shared Snapshot, whose
-// precomputed embeddings would no longer be valid.
+// precomputed embeddings would no longer be valid, and gives it a fresh
+// snapshot of its own.
 func WithWordModel(m *wordvec.Model) Option {
 	return func(s *Solver) {
 		s.vec = m
 		s.catalogTab = buildCatalogTable(s.catalog, m)
-		s.fe = newFrontend() // cached phrase vectors depend on the model
-		if s.snap != nil {
-			s.snap = nil
-			s.staticCache = make(map[*apk.Release]*StaticInfo)
-		}
+		s.fe = newFrontend() // cached phrase preparations depend on the model
+		s.snap = newSnapshot(s)
 	}
 }
 
@@ -244,20 +238,21 @@ func WithSentimentAnalyzer(a sentiment.Analyzer) Option {
 	}
 }
 
-// New constructs a Solver. The default configuration has no classifier
-// (callers decide which reviews to localize), uses SentiStrength-style
-// sentiment, and builds the Q&A index over the generated corpus.
+// New constructs a Solver backed by a snapshot of its own (NewSnapshot
+// returns that snapshot), so it is safe for concurrent use. The default
+// configuration has no classifier (callers decide which reviews to
+// localize), uses SentiStrength-style sentiment, and builds the Q&A index
+// over the generated corpus.
 func New(opts ...Option) *Solver {
 	catalog := sdk.NewCatalog()
 	s := &Solver{
-		catalog:     catalog,
-		vec:         wordvec.NewModel(),
-		tagger:      pos.NewTagger(),
-		extractor:   phrase.NewExtractor(),
-		normalizer:  textproc.NewNormalizer(),
-		sentiment:   sentiment.SentiStrength{},
-		qaIndex:     qa.NewIndex(catalog, qa.GenerateCorpus(catalog)),
-		staticCache: make(map[*apk.Release]*StaticInfo),
+		catalog:    catalog,
+		vec:        wordvec.NewModel(),
+		tagger:     pos.NewTagger(),
+		extractor:  phrase.NewExtractor(),
+		normalizer: textproc.NewNormalizer(),
+		sentiment:  sentiment.SentiStrength{},
+		qaIndex:    qa.NewIndex(catalog, qa.GenerateCorpus(catalog)),
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -265,6 +260,7 @@ func New(opts ...Option) *Solver {
 	if s.fe == nil {
 		s.fe = newFrontend()
 	}
+	s.snap = newSnapshot(s)
 	// Annotate parsed tokens with dense vocabulary IDs so tagging and
 	// stopword tests index flat arrays instead of re-hashing words.
 	s.extractor.UseInterner(s.fe.in)
@@ -281,20 +277,10 @@ func (s *Solver) IsErrorReview(text string) bool {
 	return s.classifier.Predict(s.vectorizer.Transform(text))
 }
 
-// StaticFor returns the (cached) §3.3 extraction for a release. Snapshot-
-// backed solvers read through the shared concurrency-safe snapshot cache;
-// standalone solvers keep a private map (not safe for concurrent
-// use — share work through a Snapshot instead).
+// StaticFor returns the §3.3 extraction for a release, read through the
+// solver's concurrency-safe snapshot.
 func (s *Solver) StaticFor(r *apk.Release) *StaticInfo {
-	if s.snap != nil {
-		return s.snap.StaticFor(r)
-	}
-	if info, ok := s.staticCache[r]; ok {
-		return info
-	}
-	info := s.ExtractStatic(r)
-	s.staticCache[r] = info
-	return info
+	return s.snap.StaticFor(r)
 }
 
 // Result is the outcome of localizing one review.

@@ -1,12 +1,9 @@
 package textproc
 
-import "encoding/binary"
-
 // Interner is an immutable string → ID symbol table over the pipeline's
 // closed vocabulary (spell-repair dictionary, POS lexicon, stopwords,
 // abbreviations, embedding lexicon). Token IDs let downstream stages index
-// flat arrays instead of hashing strings, and let phrase-level caches key on
-// compact binary IDs instead of joined strings.
+// flat arrays instead of hashing strings.
 //
 // An Interner is built once (NewInterner) and read-only afterwards, so it is
 // safe for unsynchronized concurrent use.
@@ -91,18 +88,4 @@ func (in *Interner) Annotate(toks []Token) {
 // interner's internals; callers must not mutate them.
 func (in *Interner) Export() (words []string, flags []uint16) {
 	return in.words, in.flags
-}
-
-// AppendIDs appends the 4-byte little-endian IDs of the words to dst and
-// reports whether every word was interned. When any word is unknown the
-// caller must fall back to a string key; dst may hold a partial prefix.
-func (in *Interner) AppendIDs(dst []byte, words []string) ([]byte, bool) {
-	for _, w := range words {
-		id, ok := in.ids[w]
-		if !ok {
-			return dst, false
-		}
-		dst = binary.LittleEndian.AppendUint32(dst, id)
-	}
-	return dst, true
 }

@@ -85,24 +85,6 @@ func TestInternerIsStop(t *testing.T) {
 	}
 }
 
-func TestInternerAppendIDs(t *testing.T) {
-	in := testInterner()
-	key, ok := in.AppendIDs(nil, []string{"send", "message"})
-	if !ok {
-		t.Fatal("AppendIDs over interned words reported unknown")
-	}
-	if len(key) != 8 {
-		t.Fatalf("key length = %d, want 8 (two 4-byte IDs)", len(key))
-	}
-	key2, ok := in.AppendIDs(nil, []string{"message", "send"})
-	if !ok || string(key) == string(key2) {
-		t.Error("order-swapped phrases must produce distinct keys")
-	}
-	if _, ok := in.AppendIDs(nil, []string{"send", "zorp"}); ok {
-		t.Error("AppendIDs with an uninterned word reported ok")
-	}
-}
-
 func TestDefaultVocabAccessors(t *testing.T) {
 	for name, words := range map[string][]string{
 		"DictionaryList":   DictionaryList(),

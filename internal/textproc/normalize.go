@@ -2,7 +2,8 @@ package textproc
 
 import (
 	"strings"
-	"sync"
+
+	"reviewsolver/internal/memo"
 )
 
 // Normalizer repairs typos and expands abbreviations in review tokens, per
@@ -16,19 +17,10 @@ type Normalizer struct {
 
 	// Review vocabulary is heavily repeated, and a repair scan walks every
 	// dictionary word of a near length, so repaired (and rejected) words are
-	// memoized. Guarded because one Normalizer is shared across pool workers.
-	// The memo is bounded by generation rotation: when the current map
-	// reaches memoCap/2 entries it becomes the previous generation and a
-	// fresh map takes over, so total residency never exceeds memoCap while
-	// hot words survive rotation via promotion on lookup.
-	mu   sync.RWMutex
-	memo map[string]string
-	prev map[string]string
+	// memoized in the bounded memo.Cache, which pool workers sharing one
+	// Normalizer may use concurrently.
+	memo *memo.Cache[string]
 }
-
-// memoCap bounds the repair cache so adversarial input can't grow it without
-// limit; review vocabularies are far smaller in practice.
-const memoCap = 1 << 16
 
 // maxDist is the largest edit distance a typo repair may span. The paper's
 // pipeline is conservative to avoid rewriting app-specific names.
@@ -41,7 +33,7 @@ func NewNormalizer() *Normalizer {
 		dict:    make(map[string]struct{}, len(reviewDictionary)),
 		byLen:   make(map[int][]string),
 		abbrevs: reviewAbbreviations,
-		memo:    make(map[string]string),
+		memo:    memo.New[string](),
 	}
 	for _, w := range reviewDictionary {
 		n.addWord(w)
@@ -75,44 +67,17 @@ func (n *Normalizer) NormalizeWord(word string) string {
 	if len(w) <= 3 || n.Known(w) || !isAlphaWord(w) {
 		return w
 	}
-	n.mu.RLock()
-	repaired, ok := n.memo[w]
-	if ok {
-		n.mu.RUnlock()
+	if repaired, ok := n.memo.Get(w); ok {
 		return repaired
 	}
-	repaired, ok = n.prev[w]
-	n.mu.RUnlock()
-	if ok {
-		n.memoPut(w, repaired) // promote so hot words survive rotation
-		return repaired
-	}
-	repaired = n.repair(w)
-	n.memoPut(w, repaired)
+	repaired := n.repair(w)
+	n.memo.Put(w, repaired)
 	return repaired
 }
 
-// memoPut inserts (or promotes) a repair into the current memo generation,
-// rotating generations when the current one fills.
-func (n *Normalizer) memoPut(w, repaired string) {
-	n.mu.Lock()
-	if _, ok := n.memo[w]; !ok {
-		if len(n.memo) >= memoCap/2 {
-			n.prev = n.memo
-			n.memo = make(map[string]string, memoCap/2)
-		}
-		n.memo[w] = repaired
-	}
-	n.mu.Unlock()
-}
-
-// MemoSize returns the number of memoized repairs currently resident across
-// both generations; exported so serving can gauge the cache.
-func (n *Normalizer) MemoSize() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.memo) + len(n.prev)
-}
+// MemoSize returns the number of memoized repairs currently resident;
+// exported so serving can gauge the cache.
+func (n *Normalizer) MemoSize() int { return n.memo.Len() }
 
 // repair finds the closest dictionary word within maxDist, or returns w
 // unchanged when none qualifies.

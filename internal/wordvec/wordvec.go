@@ -18,7 +18,8 @@ package wordvec
 import (
 	"hash/fnv"
 	"math"
-	"sync"
+
+	"reviewsolver/internal/memo"
 )
 
 // Dim is the dimensionality of the embedding vectors.
@@ -32,12 +33,11 @@ const DefaultThreshold = 0.68
 type Vector [Dim]float64
 
 // Model maps words to vectors. A Model is safe for concurrent use: word
-// vectors are deterministic functions of the word, and the memo cache is
-// guarded by a read-write lock, so any number of goroutines may share one
-// model (the core.Snapshot layer relies on this).
+// vectors are deterministic functions of the word, and the memo is a
+// bounded concurrency-safe memo.Cache, so any number of goroutines may share
+// one model (the core.Snapshot layer relies on this).
 type Model struct {
-	mu        sync.RWMutex
-	cache     map[string]Vector
+	memo      *memo.Cache[*Vector]
 	groupOf   map[string]int // word → synonym group index
 	topicOf   map[int]string // group index → topic anchor name
 	threshold float64
@@ -54,7 +54,7 @@ func WithThreshold(t float64) Option {
 // NewModel builds the embedding model over the built-in synonym lexicon.
 func NewModel(opts ...Option) *Model {
 	m := &Model{
-		cache:     make(map[string]Vector, 512),
+		memo:      memo.New[*Vector](),
 		groupOf:   make(map[string]int, 512),
 		topicOf:   make(map[int]string, len(synonymGroups)),
 		threshold: DefaultThreshold,
@@ -84,20 +84,17 @@ const (
 	noiseWeight = 0.44
 )
 
-// Vector returns the embedding of a lower-cased word. Vectors are memoised;
-// concurrent first-use of the same word may compute it twice, but both
-// computations produce the identical deterministic vector.
+// Vector returns the embedding of a lower-cased word. Vectors are memoised
+// by pointer, so a hit copies the 512-byte vector once, on return.
+// Concurrent first use of a word may compute it twice, and an evicted word
+// is computed again, but every computation yields the identical
+// deterministic vector.
 func (m *Model) Vector(word string) Vector {
-	m.mu.RLock()
-	v, ok := m.cache[word]
-	m.mu.RUnlock()
-	if ok {
-		return v
+	if v, ok := m.memo.Get(word); ok {
+		return *v
 	}
-	v = m.computeVector(word)
-	m.mu.Lock()
-	m.cache[word] = v
-	m.mu.Unlock()
+	v := m.computeVector(word)
+	m.memo.Put(word, &v)
 	return v
 }
 

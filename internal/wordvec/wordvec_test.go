@@ -2,10 +2,12 @@ package wordvec
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"reviewsolver/internal/memo"
 	"reviewsolver/internal/textproc"
 )
 
@@ -172,7 +174,7 @@ func TestGroupCount(t *testing.T) {
 	}
 }
 
-// TestConcurrentVector exercises the lock-guarded memo cache: concurrent
+// TestConcurrentVector exercises the shared vector memo: concurrent
 // first-use of the same words must be race-free and produce the same
 // deterministic vectors a cold sequential model computes.
 func TestConcurrentVector(t *testing.T) {
@@ -203,6 +205,27 @@ func TestConcurrentVector(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestVectorMemoBounded: a stream of distinct words twice the memo's cap
+// leaves at most memo.Cap vectors resident, and a word evicted from the
+// memo gets back the vector a fresh model computes.
+func TestVectorMemoBounded(t *testing.T) {
+	m := NewModel()
+	word := func(i int) string { return "w" + strconv.Itoa(i) }
+	for i := 0; i < 2*memo.Cap; i++ {
+		m.Vector(word(i))
+	}
+	if n := m.memo.Len(); n > memo.Cap {
+		t.Fatalf("memo holds %d vectors, cap %d", n, memo.Cap)
+	}
+	first := word(0)
+	if _, ok := m.memo.Get(first); ok {
+		t.Fatalf("%q still resident after %d later words", first, 2*memo.Cap-1)
+	}
+	if m.Vector(first) != NewModel().Vector(first) {
+		t.Errorf("evicted word %q came back with a different vector", first)
+	}
 }
 
 // SimilarityText tokenizes two phrase strings and returns their similarity.
